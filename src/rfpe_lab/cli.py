@@ -11,7 +11,6 @@ the middle of a run (the manifest is left marked incomplete).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -61,16 +60,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg_path = Path(args.config)
-            try:
-                text = cfg_path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise scenarios.ConfigError(
-                    f"{cfg_path}: cannot read configuration: {exc}")
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise scenarios.ConfigError(
-                    f"{cfg_path}:{exc.lineno}: invalid JSON: {exc.msg}")
+            text, obj = scenarios.read_config_file(cfg_path)
             if args.seed is not None:
                 if not isinstance(obj, dict):
                     raise scenarios.ConfigError(

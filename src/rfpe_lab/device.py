@@ -144,19 +144,29 @@ class CircuitInstance:
 
 
 def compose_power(v: np.ndarray, m: int) -> np.ndarray:
-    """m-fold application V^m, projected back onto the unitary group.
+    """m-fold application V^m in closed form.
 
-    Repeated squaring drifts off unitarity by ~m*eps (the accumulated
-    error doubles with each squaring), so the sanity check has to scale
-    with m; a genuinely non-unitary input is amplified by the same
-    factor and still trips it.  The ideal composite is exactly unitary,
-    so the drift is pure roundoff and the polar projection removes it.
-    In eigenphase units the residual is drift/m ~ eps, independent of m.
+    Writing V = e^{i delta} (cos(w/2) I - i sin(w/2) n.sigma) with a unit
+    axis n gives V^m = e^{i m delta} (cos(m w/2) I - i sin(m w/2) n.sigma),
+    which is unitary to rounding for every m. The SU(2) part is
+    symmetrised to [[a, b], [-b*, a*]] before the axis is read off, so a
+    rounding-level departure of V from unitarity does not grow with m.
     """
-    w = np.linalg.matrix_power(v, m)
-    check_unitary(w, tol=max(1e-9, 1e-12 * m))
-    u, _, vh = np.linalg.svd(w)
-    return u @ vh
+    check_unitary(v)
+    v00, v01, v10, v11 = v.ravel().tolist()
+    delta = 0.5 * cmath.phase(v00 * v11 - v01 * v10)
+    phase = cmath.exp(-1j * delta)
+    a = 0.5 * (phase * v00 + (phase * v11).conjugate())
+    b = 0.5 * (phase * v01 - (phase * v10).conjugate())
+    # -i sin(w/2) n.sigma = [[i a.imag, b], [-b*, -i a.imag]]
+    s = math.sqrt(a.imag * a.imag + abs(b) ** 2)
+    half = m * math.atan2(s, a.real)
+    c = math.cos(half)
+    k = math.sin(half) / s if s > 0.0 else 0.0
+    am = complex(c, k * a.imag)
+    bm = k * b
+    return cmath.exp(1j * m * delta) * np.array(
+        [[am, bm], [-bm.conjugate(), am.conjugate()]])
 
 
 def build_instance(unitary: UnitarySpec, prep: StatePrepSpec,

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .device import (StatePrepSpec, UnitarySpec, build_instance, euler_angles,
-                     compose_power, probability_from_phases)
+from .device import (StatePrepSpec, UnitarySpec, compose_power, euler_angles,
+                     probability_from_phases)
 from .noise import NoiseConfig, depolarize, perturb_phases, reduce_outcome, sample_counts
 from .phases import ExperimentSetting, likelihood
 

@@ -1,7 +1,9 @@
-"""Pure numpy fallback for the compiled rejection-sampling kernel.
+"""Rejection-sampling kernel of the RFPE update.
 
-Mirrors rfpe_lab._kernels.rejection_accumulate; results agree with the
-compiled version up to floating-point summation order.
+`rejection_accumulate` keeps the particles that pass the rejection
+test against the outcome likelihood and returns their count plus the
+first and second moment sums in the frame centred on the prior mean and
+in the frame shifted by pi.
 """
 
 from __future__ import annotations

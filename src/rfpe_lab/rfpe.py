@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._backend import kernels
+from . import kernels
 from .phases import TWO_PI, ExperimentSetting, circular_distance, likelihood, wrap_phase
 
 # Smallest admissible belief width; a refit collapsing below this is clamped.
@@ -59,12 +59,6 @@ class RfpeConfig:
     likelihood; 1.0 is always safe for a two-outcome fringe).
     t2_cap, when set, limits m to floor(t2) so experiments stay inside
     the coherence window.
-    literal_variance switches the refit to the historical printed
-    expression min over frames of sqrt((V - mu_acc^2)/(N-1)) with
-    mu_acc the raw accumulated sum. That expression is dimensionally
-    inconsistent and fails for any sizeable acceptance count; it is
-    kept only so the failure can be studied. The default is the
-    standard unbiased per-frame sample variance.
     """
 
     n_particles: int = 1000
@@ -74,7 +68,6 @@ class RfpeConfig:
     rng_seed: int = 0
     max_retries: int = 10
     sigma_inflation: float = 1.5
-    literal_variance: bool = False
 
     def __post_init__(self):
         if self.n_particles < 2:
@@ -114,7 +107,7 @@ def particle_guess_capped(belief: GaussianBelief, rng: np.random.Generator,
     return ExperimentSetting(m=m, theta=theta)
 
 
-def _refit(n_acc, s1, s2, s1p, s2p, mu_prior, literal=False):
+def _refit(n_acc, s1, s2, s1p, s2p, mu_prior):
     """Turn accumulated two-frame moments into a Gaussian refit.
 
     Moments are centred on the prior mean (shifted appropriately in the
@@ -122,21 +115,6 @@ def _refit(n_acc, s1, s2, s1p, s2p, mu_prior, literal=False):
     """
     c0 = wrap_phase(mu_prior)
     cpi = wrap_phase(c0 + math.pi)
-    if literal:
-        # Raw-sum accumulators reconstructed from the centred ones; the
-        # mean comes from the unshifted frame only and the raw sum enters
-        # the variance unscaled, faithfully reproducing the historical
-        # expression (which rarely yields a positive value).
-        mu_acc = s1 + n_acc * c0
-        v = s2 + 2.0 * c0 * s1 + n_acc * c0 * c0
-        vp = s2p + 2.0 * cpi * s1p + n_acc * cpi * cpi
-        candidates = [(v - mu_acc * mu_acc) / (n_acc - 1),
-                      (vp - mu_acc * mu_acc) / (n_acc - 1)]
-        valid = [c for c in candidates if c > 0.0]
-        if not valid:
-            raise UpdateFailure("literal variance expression has no positive branch")
-        return GaussianBelief(mu=wrap_phase(mu_acc / n_acc),
-                              sigma=max(math.sqrt(min(valid)), SIGMA_FLOOR))
     var0 = (s2 - s1 * s1 / n_acc) / (n_acc - 1)
     varp = (s2p - s1p * s1p / n_acc) / (n_acc - 1)
     if varp < var0:
@@ -165,8 +143,7 @@ def rejection_update(outcome: int, belief: GaussianBelief, setting: ExperimentSe
         x, u, outcome, float(setting.m), setting.theta, config.kappa_e, belief.mu)
     if n_acc < 2:
         raise UpdateFailure(f"only {n_acc} particles accepted")
-    return _refit(n_acc, s1, s2, s1p, s2p, belief.mu,
-                  literal=config.literal_variance)
+    return _refit(n_acc, s1, s2, s1p, s2p, belief.mu)
 
 
 def grid_posterior(outcome: int, belief: GaussianBelief, setting: ExperimentSetting,

@@ -416,16 +416,26 @@ def validate_config(obj: Any, source: str = "<config>",
     return cfg
 
 
-def load_config(path) -> dict:
+def read_config_file(path) -> tuple[str, object]:
+    """Text and parsed JSON of a configuration file.
+
+    Unreadable files and invalid JSON raise ConfigError anchored at the
+    path (and, for JSON, the offending line).
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read configuration: {exc}")
     try:
-        obj = json.loads(text)
+        return text, json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+
+
+def load_config(path) -> dict:
+    path = Path(path)
+    text, obj = read_config_file(path)
     return validate_config(obj, source=str(path), text=text)
 
 
@@ -1175,14 +1185,7 @@ def run_scenario(path, out_dir=None, workers: int = 1,
                  plot: bool = False) -> dict:
     """Execute the scenario configuration file at `path`."""
     cfg_path = Path(path)
-    try:
-        text = cfg_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{cfg_path}: cannot read configuration: {exc}")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{cfg_path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    text, obj = read_config_file(cfg_path)
     return run_scenario_config(obj, out_dir=out_dir, workers=workers,
                                plot=plot, source=str(cfg_path), text=text,
                                base_dir=cfg_path.parent)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfpe_lab.device import (CircuitInstance, NonUnitaryError, StatePrepSpec,
                              UnitarySpec, build_instance, check_unitary,
@@ -78,19 +80,27 @@ def test_euler_rejects_non_unitary():
 # ------------------------------------------------------------- composition
 
 
-def test_compose_power_small_m_matches_products():
-    rng = np.random.default_rng(44)
-    v = _random_unitary(rng)
+@settings(max_examples=150, deadline=None)
+@given(angles=st.tuples(*[st.floats(-6.0, 6.0)] * 4),
+       m=st.integers(1, 1_000_000))
+def test_compose_power_small_m_matches_products(angles, m):
+    v = _spec_matrix(angles)
     direct = np.eye(2)
-    for m in range(1, 9):
+    for k in range(1, 9):
         direct = direct @ v
-        assert np.max(np.abs(compose_power(v, m) - direct)) < 1e-11
+        assert np.max(np.abs(compose_power(v, k) - direct)) < 1e-11
+    # Compared as matrices, not Euler angles: (alpha + 2pi, delta + pi)
+    # is the same gate. The scalar gates are the sin(w/2) = 0 branch.
+    scalar = cmath.exp(1j * angles[3]) * np.eye(2)
+    for w in (v, scalar, -scalar):
+        want = np.linalg.matrix_power(w, m)
+        assert np.max(np.abs(compose_power(w, m) - want)) <= 1e-15 * m
 
 
 def test_compose_power_large_m_stays_unitary():
     rng = np.random.default_rng(45)
     v = _random_unitary(rng)
-    for m in (10_000, 1_048_576):
+    for m in (10_000, 1_048_576, 10**12):
         w = compose_power(v, m)
         assert np.max(np.abs(w @ w.conj().T - np.eye(2))) < 1e-13
 

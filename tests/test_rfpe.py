@@ -180,21 +180,6 @@ def test_dual_frame_refit_near_seam():
     assert post.sigma < 0.3
 
 
-def test_literal_variance_mode():
-    config = RfpeConfig(literal_variance=True)
-    # away from zero the historical expression has no positive branch
-    with pytest.raises(UpdateFailure, match="no positive branch"):
-        rejection_update(0, GaussianBelief(3.0, 0.1),
-                         ExperimentSetting(m=1, theta=3.0), config,
-                         np.random.default_rng(5))
-    # near zero the pi-frame branch goes positive but wildly overstates
-    # the spread; this is the failure mode the corrected estimator fixes
-    post = rejection_update(0, GaussianBelief(0.05, 0.02),
-                            ExperimentSetting(m=1, theta=0.05), config,
-                            np.random.default_rng(6))
-    assert post.sigma > 0.5
-
-
 # ------------------------------------------------------------------ run loop
 
 
