@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.stats import t as student_t
 
-from .phases import TWO_PI, wrap_phase
+from .phases import TWO_PI
 
 PARAM_NAMES = ("b", "a", "t", "p_phi")
 
@@ -203,17 +203,6 @@ def fit_fringe(data: Sequence[FringeSample], restarts: int = 16,
                      n_samples=n)
 
 
-def phase_power_map(fit: FringeFit, p_el: float) -> float:
-    """Implemented phase at a given electrical power, wrapped to [0, 2*pi)."""
-    return wrap_phase(TWO_PI * (p_el - fit.p_phi) / fit.t)
-
-
-def power_for_phase(fit: FringeFit, phi: float) -> float:
-    """Smallest non-negative electrical power implementing phase phi."""
-    base = fit.p_phi + wrap_phase(phi) * fit.t / TWO_PI
-    return base % fit.t
-
-
 def propagate_phase_uncertainty(fit: FringeFit,
                                 p_el_range: tuple[float, float]) -> float:
     """First-order uncertainty of the average implemented phase.
@@ -266,14 +255,3 @@ def fit_report_json(fit: FringeFit, path=None) -> dict:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report
-
-
-def fit_report_text(fit: FringeFit) -> str:
-    lines = [
-        "parameter      estimate      std error     t-statistic   p-value",
-    ]
-    for name, est, se, ts, pv in zip(PARAM_NAMES, fit.params, fit.std_errors,
-                                     fit.t_stats, fit.p_values):
-        lines.append(f"{name:<12}  {est: .6e}  {se: .6e}  {ts: .6e}  {pv: .3e}")
-    lines.append(f"R^2 = {fit.r_squared:.9f}   n = {fit.n_samples}")
-    return "\n".join(lines)

@@ -12,10 +12,8 @@ algorithm's determinism on noiseless hardware.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -104,38 +102,3 @@ def ipea_run(oracle: Oracle, config: IpeaConfig,
                                  n0=n0, n1=n1, bit=bit))
     estimate = wrap_phase(TWO_PI * sum(b * 2.0 ** -(i + 1) for i, b in enumerate(bits)))
     return estimate, records
-
-
-def bit_success_probability(delta_x: float, t2: float, k: int, a: float,
-                            convention: str = "printed") -> float:
-    """Analytic per-bit success probability.
-
-    The default reproduces the published expression verbatim, whose
-    exponent contains a*2^k*t2 (error growing with coherence time).
-    convention="inverse_t2" uses a*2^k/t2 instead, which decays with
-    increasing coherence time as decoherence physics dictates.
-    """
-    if t2 < 0.0:
-        raise ValueError(f"t2 must be non-negative, got {t2}")
-    if a < 0.0:
-        raise ValueError(f"a must be non-negative, got {a}")
-    if convention == "printed":
-        expo = -delta_x * delta_x - a * (2.0 ** k) * t2
-    elif convention == "inverse_t2":
-        if t2 == 0.0:
-            return 0.5
-        expo = -delta_x * delta_x - a * (2.0 ** k) / t2
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return 0.5 * (1.0 + math.exp(expo))
-
-
-BIT_RECORD_FIELDS = ["k", "m", "theta", "n0", "n1", "bit"]
-
-
-def write_bit_records_csv(records: Iterable[BitRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BIT_RECORD_FIELDS)
-        for r in records:
-            writer.writerow([r.k, r.m, repr(r.theta), r.n0, r.n1, r.bit])

@@ -15,11 +15,9 @@ cross-check the sampler.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -225,40 +223,6 @@ def rfpe_run(oracle: Oracle, initial: GaussianBelief, config: RfpeConfig,
                                        outcome=int(outcomes[-1]),
                                        posterior=belief, error=error))
     return trace
-
-
-TRACE_FIELDS = ["step", "m", "theta", "outcome", "mu", "sigma", "error"]
-
-
-def _trace_record(row: InferenceTraceRow) -> dict:
-    return {
-        "step": row.step,
-        "m": row.setting.m,
-        "theta": row.setting.theta,
-        "outcome": row.outcome,
-        "mu": row.posterior.mu,
-        "sigma": row.posterior.sigma,
-        "error": row.error,
-    }
-
-
-def write_trace_csv(trace: Iterable[InferenceTraceRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for row in trace:
-            rec = _trace_record(row)
-            writer.writerow([
-                rec["step"], rec["m"], repr(rec["theta"]), rec["outcome"],
-                repr(rec["mu"]), repr(rec["sigma"]),
-                "" if rec["error"] is None else repr(rec["error"]),
-            ])
-
-
-def write_trace_json(trace: Iterable[InferenceTraceRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([_trace_record(r) for r in trace], fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def acceptance_probability(outcome: int, belief: GaussianBelief,

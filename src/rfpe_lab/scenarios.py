@@ -45,26 +45,7 @@ SCHEMA_VERSION = "rfpe-lab/1"
 KCAL_PER_HARTREE = 627.509
 OUT_DIR_ENV = "RFPE_LAB_OUT_DIR"
 
-KINDS = ("convergence", "phase_noise_sweep", "t2_sweep", "t2_convergence",
-         "strategy_comparison", "molecular_scan", "fidelity_curve",
-         "chernoff_curve", "calibration_fit")
-
-_KIND_TAG = {name: index for index, name in enumerate(KINDS)}
 _ALGO_RFPE, _ALGO_IPEA, _ALGO_MISC = 0, 1, 2
-
-# Acceptance criteria exercised by each kind's outputs (11 is the
-# byte-reproducibility contract every run participates in).
-_CRITERIA = {
-    "convergence": [1, 2, 11],
-    "phase_noise_sweep": [4, 11],
-    "t2_sweep": [6, 11],
-    "t2_convergence": [6, 11],
-    "strategy_comparison": [7, 11],
-    "molecular_scan": [10, 11],
-    "fidelity_curve": [5, 11],
-    "chernoff_curve": [8, 11],
-    "calibration_fit": [9, 11],
-}
 
 
 class ConfigError(ValueError):
@@ -249,8 +230,8 @@ def _as_strategies(chk, path, v):
     return [_as_strategy(chk, f"{path}[{i}]", name) for i, name in enumerate(v)]
 
 
-def _common_spec(kind, **extra):
-    spec = {
+def _common_spec(kind):
+    return {
         "schema": (lambda c, p, v: _as_str(c, p, v, {SCHEMA_VERSION}),
                    SCHEMA_VERSION),
         "kind": (lambda c, p, v: _as_str(c, p, v, set(KINDS)), kind),
@@ -258,126 +239,21 @@ def _common_spec(kind, **extra):
         "label": (_as_label, kind),
         "out_dir": (_as_opt_str, None),
     }
-    spec.update(extra)
-    return spec
 
 
-def _algo_field(default="both"):
-    return (lambda c, p, v: _as_str(c, p, v, {"rfpe", "ipea", "both"}), default)
+_ALGORITHM = (lambda c, p, v: _as_str(c, p, v, {"rfpe", "ipea", "both"}),
+              "both")
+_TRUTH = (_as_num, 4.8741)
 
 
-_KIND_SPECS: dict[str, dict] = {}
-
-
-def _register_kind(kind, **extra):
-    _KIND_SPECS[kind] = _common_spec(kind, **extra)
+def _ensemble(default):
+    return (lambda c, p, v: _as_int(c, p, v, lo=1), default)
 
 
 def _sub(spec_dict):
     """Field pair for a nested object: validator plus defaulted default."""
     default = _check_mapping(_Checker("<defaults>", None), "", {}, spec_dict)
     return (lambda c, p, v: _check_mapping(c, p, v, spec_dict), default)
-
-
-_register_kind(
-    "convergence",
-    truth=(_as_num, 4.8741),
-    algorithm=_algo_field(),
-    ensemble=(lambda c, p, v: _as_int(c, p, v, lo=1), 100),
-    noise=_sub(_noise_spec()),
-    rfpe=_sub(_rfpe_spec(50)),
-    ipea=_sub(_IPEA_SPEC),
-    prior=_sub(_PRIOR_SPEC),
-)
-
-_register_kind(
-    "phase_noise_sweep",
-    truth=(_as_num, 4.8741),
-    algorithm=_algo_field(),
-    ensemble=(lambda c, p, v: _as_int(c, p, v, lo=1), 50),
-    sigma_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0),
-                list(_DEFAULT_SIGMA_GRID)),
-    rfpe_strategy=(_as_strategy, "single_shot"),
-    ipea_strategy=(_as_strategy, "majority_vote"),
-    noise=_sub(_noise_spec()),
-    rfpe=_sub(_rfpe_spec(100)),
-    ipea=_sub(_IPEA_SPEC),
-    prior=_sub(_PRIOR_SPEC),
-)
-
-_register_kind(
-    "t2_sweep",
-    truth=(_as_num, 4.8741),
-    algorithm=_algo_field(),
-    ensemble=(lambda c, p, v: _as_int(c, p, v, lo=1), 50),
-    t2_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0, lo_open=True),
-             list(_DEFAULT_T2_GRID)),
-    cap_pgh=(_as_bool, True),
-    noise=_sub(_noise_spec()),
-    rfpe=_sub(_rfpe_spec(100)),
-    ipea=_sub(_IPEA_SPEC),
-    prior=_sub(_PRIOR_SPEC),
-)
-
-_register_kind(
-    "t2_convergence",
-    truth=(_as_num, 4.8741),
-    ensemble=(lambda c, p, v: _as_int(c, p, v, lo=1), 50),
-    t2_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0, lo_open=True),
-             [2.0, 8.0, 32.0, 128.0]),
-    cap_pgh=(_as_bool, True),
-    noise=_sub(_noise_spec()),
-    rfpe=_sub(_rfpe_spec(100)),
-    prior=_sub(_PRIOR_SPEC),
-)
-
-_register_kind(
-    "strategy_comparison",
-    truth=(_as_num, 4.8741),
-    ensemble=(lambda c, p, v: _as_int(c, p, v, lo=1), 200),
-    strategies=(_as_strategies, ["sampled:3", "majority_vote", "single_shot"]),
-    noise=_sub(_noise_spec()),
-    rfpe=_sub(_rfpe_spec(10)),
-    prior=_sub(_PRIOR_SPEC),
-)
-
-_register_kind(
-    "molecular_scan",
-    table=(_as_str, _REQUIRED),
-    scale=(lambda c, p, v: None if v is None else _as_num(c, p, v), None),
-    offset=(lambda c, p, v: None if v is None else _as_num(c, p, v), None),
-    # median-of-5 estimate per point; a lone multimodal run would
-    # otherwise sink the whole scan
-    ensemble=(lambda c, p, v: _as_int(c, p, v, lo=1), 5),
-    noise=_sub(_noise_spec()),
-    rfpe=_sub(_rfpe_spec(50)),
-    prior=_sub(_PRIOR_SPEC),
-)
-
-_register_kind(
-    "fidelity_curve",
-    truth=(_as_num, 4.8741),
-    sigma_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0),
-                list(_DEFAULT_SIGMA_GRID)),
-    samples=(lambda c, p, v: _as_int(c, p, v, lo=1000), 20000),
-)
-
-_register_kind(
-    "chernoff_curve",
-    p0=(lambda c, p, v: _as_num(c, p, v, lo=0.5, hi=1.0, lo_open=True),
-        2.0 / 3.0),
-    n=(lambda c, p, v: _as_int(c, p, v, lo=1), 500),
-    n_bits=(lambda c, p, v: _as_int(c, p, v, lo=2), 16),
-    pe_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0, hi=1.0, hi_open=True),
-             [round(0.02 * i, 2) for i in range(21)]),
-)
-
-_register_kind(
-    "calibration_fit",
-    data=(_as_opt_str, None),
-    fringe=_sub(_FRINGE_SPEC),
-    restarts=(lambda c, p, v: _as_int(c, p, v, lo=1), 16),
-)
 
 
 def _cross_checks(chk, cfg, raw):
@@ -391,6 +267,13 @@ def _cross_checks(chk, cfg, raw):
         if cfg["rfpe"]["t2_cap"] is not None:
             chk.fail("rfpe.t2_cap",
                      "set by the sweep when cap_pgh is true; leave it null")
+    # each value names one output file, so a repeat would overwrite one
+    listed = {"t2_convergence": "t2_grid",
+              "strategy_comparison": "strategies"}.get(kind)
+    for i, value in enumerate(cfg[listed] if listed else ()):
+        if value in cfg[listed][:i]:
+            chk.fail(f"{listed}[{i}]", f"repeats {value!r}; each value "
+                                       "names one output file")
     if kind == "calibration_fit":
         if isinstance(raw, dict) and "data" in raw and "fringe" in raw:
             chk.fail("fringe", "give either data or fringe, not both")
@@ -409,9 +292,9 @@ def validate_config(obj: Any, source: str = "<config>",
     if schema != SCHEMA_VERSION:
         chk.fail("schema", f"expected {SCHEMA_VERSION!r}, got {schema!r}")
     kind = obj.get("kind")
-    if kind not in _KIND_SPECS:
-        chk.fail("kind", f"expected one of {sorted(_KIND_SPECS)}, got {kind!r}")
-    cfg = _check_mapping(chk, "", obj, _KIND_SPECS[kind])
+    if kind not in _KINDS:
+        chk.fail("kind", f"expected one of {sorted(_KINDS)}, got {kind!r}")
+    cfg = _check_mapping(chk, "", obj, _common_spec(kind) | _KINDS[kind].spec)
     _cross_checks(chk, cfg, obj)
     return cfg
 
@@ -663,11 +546,13 @@ class _RunContext:
     base_dir: Path
     outputs: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    series: list = field(default_factory=list)  # (CSV name, plot legend)
 
-    def write_csv(self, name, header, rows):
+    def write_csv(self, name, header, rows, legend=None):
         _write_csv(self.out_dir / name, header, rows)
         if name not in self.outputs:
             self.outputs.append(name)
+            self.series.append((name, legend))
 
     def resolve(self, path) -> Path:
         p = Path(path)
@@ -701,28 +586,32 @@ def _ipea_results(cfg, ctx, noise_d, grid, truth=None) -> list[dict]:
     return _run_trials(_ipea_trial, payloads, ctx.workers)
 
 
-_STEP_HEADER = ["step", "median_error", "p16_error", "p84_error",
-                "median_sigma"]
+_STEP_HEADER = ["step", "median_error", "p16_error", "p84_error"]
 
 
-def _step_rows(results) -> list[tuple]:
-    errors = np.array([r["errors"] for r in results])
-    sigmas = np.array([r["sigmas"] for r in results])
+def _step_rows(errors, *extra_columns) -> list[tuple]:
+    """Per-step rows of a trials x steps error table: step, median, p16,
+    p84, then the step's entry of each extra per-step column."""
+    errors = np.asarray(errors, dtype=float)
     rows = []
     for s in range(errors.shape[1]):
         lo, med, hi = _pct3(errors[:, s])
-        rows.append((s + 1, med, lo, hi, float(np.median(sigmas[:, s]))))
+        rows.append((s + 1, med, lo, hi, *(col[s] for col in extra_columns)))
     return rows
+
+
+def _rfpe_step_rows(results) -> list[tuple]:
+    return _step_rows([r["errors"] for r in results],
+                      np.median([r["sigmas"] for r in results], axis=0))
 
 
 def _run_convergence(cfg, ctx):
     label = cfg["label"]
-    do_rfpe = cfg["algorithm"] in ("rfpe", "both")
-    do_ipea = cfg["algorithm"] in ("ipea", "both")
-    if do_rfpe:
+    if cfg["algorithm"] in ("rfpe", "both"):
         results = _rfpe_results(cfg, ctx, cfg["noise"], grid=0)
-        rows = _step_rows(results)
-        ctx.write_csv(f"{label}_rfpe.csv", _STEP_HEADER, rows)
+        rows = _rfpe_step_rows(results)
+        ctx.write_csv(f"{label}_rfpe.csv", _STEP_HEADER + ["median_sigma"],
+                      rows, "RFPE")
         finals = np.array([r["errors"][-1] for r in results])
         final_sigmas = np.array([r["sigmas"][-1] for r in results])
         ctx.summary.update({
@@ -731,109 +620,69 @@ def _run_convergence(cfg, ctx):
                                          [r[1] for r in rows], start_step=5),
             "rfpe_coverage_2sigma": float(np.mean(finals <= 2.0 * final_sigmas)),
         })
-    if do_ipea:
+    if cfg["algorithm"] in ("ipea", "both"):
         results = _ipea_results(cfg, ctx, cfg["noise"], grid=0)
-        errors = np.array([r["errors"] for r in results])
-        rows = []
-        for s in range(errors.shape[1]):
-            lo, med, hi = _pct3(errors[:, s])
-            rows.append((s + 1, med, lo, hi))
-        ctx.write_csv(f"{label}_ipea.csv",
-                      ["step", "median_error", "p16_error", "p84_error"], rows)
+        ctx.write_csv(f"{label}_ipea.csv", _STEP_HEADER,
+                      _step_rows([r["errors"] for r in results]), "IPEA")
         ctx.summary["ipea_final_median_error"] = float(
             np.median([r["final"] for r in results]))
 
 
-_SWEEP_HEADER = ["median_error", "p16_error", "p84_error"]
+def _sweep(cfg, ctx, axis, grid_key, point) -> dict[str, list[float]]:
+    """Final-error percentiles of each enabled algorithm along a grid.
+
+    `point(value)` gives the RFPE noise, the RFPE overrides and the IPEA
+    noise at one grid value. Returns the median errors per algorithm;
+    on failure the rows finished so far are written before it raises.
+    """
+    grid = cfg[grid_key]
+    rows: dict[str, list[tuple]] = {
+        algo: [] for algo in ("rfpe", "ipea")
+        if cfg["algorithm"] in (algo, "both")}
+    try:
+        for gi, value in enumerate(grid):
+            rfpe_noise, rfpe_over, ipea_noise = point(value)
+            if "rfpe" in rows:
+                finals = [r["errors"][-1] for r in _rfpe_results(
+                    cfg, ctx, rfpe_noise, gi, rfpe_over=rfpe_over)]
+                lo, med, hi = _pct3(finals)
+                rows["rfpe"].append((value, med, lo, hi))
+            if "ipea" in rows:
+                finals = [r["final"]
+                          for r in _ipea_results(cfg, ctx, ipea_noise, gi)]
+                lo, med, hi = _pct3(finals)
+                rows["ipea"].append((value, med, lo, hi))
+    finally:
+        for algo, done in rows.items():
+            if done:
+                ctx.write_csv(f"{cfg['label']}_{algo}.csv",
+                              [axis, "median_error", "p16_error", "p84_error"],
+                              done, algo.upper())
+
+    medians = {algo: [row[1] for row in done] for algo, done in rows.items()}
+    ctx.summary[grid_key] = [float(v) for v in grid]
+    for algo, meds in medians.items():
+        ctx.summary[f"{algo}_median_error"] = meds
+    return medians
 
 
 def _run_phase_noise_sweep(cfg, ctx):
-    label = cfg["label"]
-    do_rfpe = cfg["algorithm"] in ("rfpe", "both")
-    do_ipea = cfg["algorithm"] in ("ipea", "both")
-    grid = cfg["sigma_grid"]
-    rfpe_rows: list[tuple] = []
-    ipea_rows: list[tuple] = []
+    def point(sigma):
+        return (dict(cfg["noise"], sigma_phase=sigma,
+                     strategy=cfg["rfpe_strategy"]), None,
+                dict(cfg["noise"], sigma_phase=sigma,
+                     strategy=cfg["ipea_strategy"]))
 
-    def flush():
-        if rfpe_rows:
-            ctx.write_csv(f"{label}_rfpe.csv",
-                          ["sigma_phase"] + _SWEEP_HEADER, rfpe_rows)
-        if ipea_rows:
-            ctx.write_csv(f"{label}_ipea.csv",
-                          ["sigma_phase"] + _SWEEP_HEADER, ipea_rows)
-
-    try:
-        for gi, sigma in enumerate(grid):
-            if do_rfpe:
-                noise_d = dict(cfg["noise"], sigma_phase=sigma,
-                               strategy=cfg["rfpe_strategy"])
-                finals = [r["errors"][-1]
-                          for r in _rfpe_results(cfg, ctx, noise_d, gi)]
-                lo, med, hi = _pct3(finals)
-                rfpe_rows.append((sigma, med, lo, hi))
-            if do_ipea:
-                noise_d = dict(cfg["noise"], sigma_phase=sigma,
-                               strategy=cfg["ipea_strategy"])
-                finals = [r["final"]
-                          for r in _ipea_results(cfg, ctx, noise_d, gi)]
-                lo, med, hi = _pct3(finals)
-                ipea_rows.append((sigma, med, lo, hi))
-    finally:
-        flush()
-
-    summary: dict[str, Any] = {"sigma_grid": [float(s) for s in grid]}
-    if rfpe_rows:
-        summary["rfpe_median_error"] = [row[1] for row in rfpe_rows]
-    if ipea_rows:
-        summary["ipea_median_error"] = [row[1] for row in ipea_rows]
-    ctx.summary.update(summary)
+    _sweep(cfg, ctx, "sigma_phase", "sigma_grid", point)
 
 
 def _run_t2_sweep(cfg, ctx):
-    label = cfg["label"]
-    do_rfpe = cfg["algorithm"] in ("rfpe", "both")
-    do_ipea = cfg["algorithm"] in ("ipea", "both")
-    grid = cfg["t2_grid"]
-    rfpe_rows: list[tuple] = []
-    ipea_rows: list[tuple] = []
+    def point(t2):
+        noise_d = dict(cfg["noise"], t2=t2)
+        return noise_d, {"t2_cap": t2} if cfg["cap_pgh"] else None, noise_d
 
-    def flush():
-        if rfpe_rows:
-            ctx.write_csv(f"{label}_rfpe.csv", ["t2"] + _SWEEP_HEADER,
-                          rfpe_rows)
-        if ipea_rows:
-            ctx.write_csv(f"{label}_ipea.csv", ["t2"] + _SWEEP_HEADER,
-                          ipea_rows)
-
-    try:
-        for gi, t2 in enumerate(grid):
-            noise_d = dict(cfg["noise"], t2=t2)
-            if do_rfpe:
-                over = {"t2_cap": t2} if cfg["cap_pgh"] else None
-                finals = [r["errors"][-1]
-                          for r in _rfpe_results(cfg, ctx, noise_d, gi,
-                                                 rfpe_over=over)]
-                lo, med, hi = _pct3(finals)
-                rfpe_rows.append((t2, med, lo, hi))
-            if do_ipea:
-                finals = [r["final"]
-                          for r in _ipea_results(cfg, ctx, noise_d, gi)]
-                lo, med, hi = _pct3(finals)
-                ipea_rows.append((t2, med, lo, hi))
-    finally:
-        flush()
-
-    summary: dict[str, Any] = {"t2_grid": [float(t) for t in grid]}
-    if rfpe_rows:
-        meds = [row[1] for row in rfpe_rows]
-        summary["rfpe_median_error"] = meds
-        summary["rfpe_max_adjacent_ratio"] = _max_adjacent_ratio(meds)
-    if ipea_rows:
-        meds = [row[1] for row in ipea_rows]
-        summary["ipea_median_error"] = meds
-        summary["ipea_max_adjacent_ratio"] = _max_adjacent_ratio(meds)
-    ctx.summary.update(summary)
+    for algo, meds in _sweep(cfg, ctx, "t2", "t2_grid", point).items():
+        ctx.summary[f"{algo}_max_adjacent_ratio"] = _max_adjacent_ratio(meds)
 
 
 def _run_t2_convergence(cfg, ctx):
@@ -842,9 +691,11 @@ def _run_t2_convergence(cfg, ctx):
     for gi, t2 in enumerate(cfg["t2_grid"]):
         noise_d = dict(cfg["noise"], t2=t2)
         over = {"t2_cap": t2} if cfg["cap_pgh"] else None
-        results = _rfpe_results(cfg, ctx, noise_d, gi, rfpe_over=over)
-        rows = _step_rows(results)
-        ctx.write_csv(f"{label}_t2_{_num_slug(t2)}.csv", _STEP_HEADER, rows)
+        rows = _rfpe_step_rows(_rfpe_results(cfg, ctx, noise_d, gi,
+                                             rfpe_over=over))
+        ctx.write_csv(f"{label}_t2_{_num_slug(t2)}.csv",
+                      _STEP_HEADER + ["median_sigma"], rows,
+                      f"T2={_num_slug(t2)}")
         median_sigma = [row[4] for row in rows]
         k = _knee_index(np.log(median_sigma))
         inv_sigma = 1.0 / median_sigma[k]
@@ -859,22 +710,16 @@ def _run_strategy_comparison(cfg, ctx):
     per_step: dict[str, dict] = {}
     for gi, name in enumerate(cfg["strategies"]):
         noise_d = dict(cfg["noise"], strategy=name)
-        results = _rfpe_results(cfg, ctx, noise_d, gi)
-        errors = np.array([r["errors"] for r in results])
+        errors = np.array([r["errors"]
+                           for r in _rfpe_results(cfg, ctx, noise_d, gi)])
         boot_rng = np.random.default_rng(np.random.SeedSequence(
             [cfg["rng_seed"], _KIND_TAG[cfg["kind"]], _ALGO_MISC, gi]))
-        rows = []
-        medians, stderrs = [], []
-        for s in range(errors.shape[1]):
-            lo, med, hi = _pct3(errors[:, s])
-            se = _median_stderr(errors[:, s], boot_rng)
-            rows.append((s + 1, med, lo, hi, se))
-            medians.append(med)
-            stderrs.append(se)
+        stderrs = [_median_stderr(col, boot_rng) for col in errors.T]
+        rows = _step_rows(errors, stderrs)
         ctx.write_csv(f"{label}_{_strategy_slug(name)}.csv",
-                      ["step", "median_error", "p16_error", "p84_error",
-                       "stderr_median"], rows)
-        per_step[name] = {"median": medians, "stderr": stderrs}
+                      _STEP_HEADER + ["stderr_median"], rows, name)
+        per_step[name] = {"median": [row[1] for row in rows],
+                          "stderr": stderrs}
     ctx.summary.update({"strategies": list(cfg["strategies"]),
                         "per_step": per_step})
 
@@ -1007,117 +852,155 @@ def _run_calibration_fit(cfg, ctx):
     ctx.summary.update(summary)
 
 
-_RUNNERS = {
-    "convergence": _run_convergence,
-    "phase_noise_sweep": _run_phase_noise_sweep,
-    "t2_sweep": _run_t2_sweep,
-    "t2_convergence": _run_t2_convergence,
-    "strategy_comparison": _run_strategy_comparison,
-    "molecular_scan": _run_molecular_scan,
-    "fidelity_curve": _run_fidelity_curve,
-    "chernoff_curve": _run_chernoff_curve,
-    "calibration_fit": _run_calibration_fit,
+# --------------------------------------------------------------------------
+# The study kinds
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the harness knows about one study kind.
+
+    Each CSV the runner writes becomes one plot source; every (y column,
+    legend) pair of `ys` draws one layer from it, and a legend of None
+    takes the legend the runner gave the CSV.
+    """
+
+    spec: dict  # configuration keys beyond the common ones
+    # acceptance criteria its outputs exercise; every kind lists 11,
+    # the byte-identical re-run contract
+    criteria: list
+    run: Callable[[dict, _RunContext], None]
+    plot: dict  # PlotSpec fields other than the layers
+    ys: tuple[tuple[str, Optional[str]], ...]
+    band: Optional[tuple[str, str]] = None
+
+
+_MEDIAN = (("median_error", None),)
+_BAND = ("p16_error", "p84_error")
+_ERROR_AXIS = dict(log_y=True, y_label="median error (rad)")
+_FINAL_ERROR_AXIS = dict(log_y=True, y_label="median final error (rad)")
+
+# Insertion order is KINDS, and a kind's index in it seeds its trial
+# streams: append new kinds, never reorder.
+_KINDS = {
+    "convergence": _Kind(
+        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_ensemble(100),
+                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(50)),
+                  ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
+        criteria=[1, 2, 11], run=_run_convergence,
+        plot=dict(x="step", title="Phase estimation convergence",
+                  x_label="step", **_ERROR_AXIS),
+        ys=_MEDIAN, band=_BAND),
+    "phase_noise_sweep": _Kind(
+        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_ensemble(50),
+                  sigma_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0),
+                              list(_DEFAULT_SIGMA_GRID)),
+                  rfpe_strategy=(_as_strategy, "single_shot"),
+                  ipea_strategy=(_as_strategy, "majority_vote"),
+                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(100)),
+                  ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
+        criteria=[4, 11], run=_run_phase_noise_sweep,
+        plot=dict(x="sigma_phase", title="Robustness to phase noise",
+                  x_label="sigma_phase (rad)", **_FINAL_ERROR_AXIS),
+        ys=_MEDIAN, band=_BAND),
+    "t2_sweep": _Kind(
+        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_ensemble(50),
+                  t2_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0,
+                                                    lo_open=True),
+                           list(_DEFAULT_T2_GRID)),
+                  cap_pgh=(_as_bool, True),
+                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(100)),
+                  ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
+        criteria=[6, 11], run=_run_t2_sweep,
+        plot=dict(x="t2", title="Robustness to decoherence",
+                  x_label="T2 (gate applications)", log_x=True,
+                  **_FINAL_ERROR_AXIS),
+        ys=_MEDIAN, band=_BAND),
+    "t2_convergence": _Kind(
+        spec=dict(truth=_TRUTH, ensemble=_ensemble(50),
+                  t2_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0,
+                                                    lo_open=True),
+                           [2.0, 8.0, 32.0, 128.0]),
+                  cap_pgh=(_as_bool, True),
+                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(100)),
+                  prior=_sub(_PRIOR_SPEC)),
+        criteria=[6, 11], run=_run_t2_convergence,
+        plot=dict(x="step", title="Convergence under decoherence",
+                  x_label="step", **_ERROR_AXIS),
+        ys=_MEDIAN),
+    "strategy_comparison": _Kind(
+        spec=dict(truth=_TRUTH, ensemble=_ensemble(200),
+                  strategies=(_as_strategies,
+                              ["sampled:3", "majority_vote", "single_shot"]),
+                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(10)),
+                  prior=_sub(_PRIOR_SPEC)),
+        criteria=[7, 11], run=_run_strategy_comparison,
+        plot=dict(x="step", title="Readout strategies", x_label="step",
+                  **_ERROR_AXIS),
+        ys=_MEDIAN),
+    "molecular_scan": _Kind(
+        spec=dict(table=(_as_str, _REQUIRED),
+                  scale=(lambda c, p, v: None if v is None
+                         else _as_num(c, p, v), None),
+                  offset=(lambda c, p, v: None if v is None
+                          else _as_num(c, p, v), None),
+                  # median-of-5 estimate per point; a lone multimodal run
+                  # would otherwise sink the whole scan
+                  ensemble=_ensemble(5),
+                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(50)),
+                  prior=_sub(_PRIOR_SPEC)),
+        criteria=[10, 11], run=_run_molecular_scan,
+        plot=dict(x="distance", title="Dissociation curve",
+                  x_label="distance (Angstrom)", y_label="energy (Hartree)"),
+        ys=(("estimated_energy", "estimated"),
+            ("reference_energy", "reference"))),
+    "fidelity_curve": _Kind(
+        spec=dict(truth=_TRUTH,
+                  sigma_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0),
+                              list(_DEFAULT_SIGMA_GRID)),
+                  samples=(lambda c, p, v: _as_int(c, p, v, lo=1000), 20000)),
+        criteria=[5, 11], run=_run_fidelity_curve,
+        plot=dict(x="sigma", title="Fidelity under phase noise",
+                  x_label="sigma_phase (rad)", y_label="fidelity"),
+        ys=(("state_fidelity", "state"), ("gate_fidelity", "gate"))),
+    "chernoff_curve": _Kind(
+        spec=dict(p0=(lambda c, p, v: _as_num(c, p, v, lo=0.5, hi=1.0,
+                                              lo_open=True), 2.0 / 3.0),
+                  n=(lambda c, p, v: _as_int(c, p, v, lo=1), 500),
+                  n_bits=(lambda c, p, v: _as_int(c, p, v, lo=2), 16),
+                  pe_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0, hi=1.0,
+                                                    hi_open=True),
+                           [round(0.02 * i, 2) for i in range(21)])),
+        criteria=[8, 11], run=_run_chernoff_curve,
+        plot=dict(x="pe", title="Majority-vote failure probability",
+                  x_label="per-shot error probability",
+                  y_label="minority-outcome probability", log_y=True),
+        ys=(("chernoff_bound", "Chernoff bound"),
+            ("exact_tail", "exact tail"))),
+    "calibration_fit": _Kind(
+        spec=dict(data=(_as_opt_str, None), fringe=_sub(_FRINGE_SPEC),
+                  restarts=(lambda c, p, v: _as_int(c, p, v, lo=1), 16)),
+        criteria=[9, 11], run=_run_calibration_fit,
+        plot=dict(x="p_el", title="Thermo-optic fringe calibration",
+                  x_label="electrical power (mW)",
+                  y_label="optical power (arb.)"),
+        ys=(("p_op", "data"), ("p_op_fit", "fit"))),
 }
 
-
-# --------------------------------------------------------------------------
-# Plot wiring
-
-
-def _band():
-    return ("p16_error", "p84_error")
+KINDS = tuple(_KINDS)
+_KIND_TAG = {name: index for index, name in enumerate(KINDS)}
 
 
-def _plot_scenario(cfg, ctx) -> Optional[str]:
-    kind, label = cfg["kind"], cfg["label"]
-    out = ctx.out_dir
-    paths: list[Path] = []
-    layers: list[Layer] = []
-
-    def add(name, y, layer_label, band=None):
-        path = out / name
-        if not path.exists():
-            return
-        paths.append(path)
-        layers.append(Layer(source=len(paths) - 1, y=y, label=layer_label,
-                            band=band))
-
-    if kind == "convergence":
-        add(f"{label}_rfpe.csv", "median_error", "RFPE", _band())
-        add(f"{label}_ipea.csv", "median_error", "IPEA", _band())
-        spec = PlotSpec(x="step", layers=tuple(layers),
-                        title="Phase estimation convergence",
-                        x_label="step", y_label="median error (rad)",
-                        log_y=True)
-    elif kind == "phase_noise_sweep":
-        add(f"{label}_rfpe.csv", "median_error", "RFPE", _band())
-        add(f"{label}_ipea.csv", "median_error", "IPEA", _band())
-        spec = PlotSpec(x="sigma_phase", layers=tuple(layers),
-                        title="Robustness to phase noise",
-                        x_label="sigma_phase (rad)",
-                        y_label="median final error (rad)", log_y=True)
-    elif kind == "t2_sweep":
-        add(f"{label}_rfpe.csv", "median_error", "RFPE", _band())
-        add(f"{label}_ipea.csv", "median_error", "IPEA", _band())
-        spec = PlotSpec(x="t2", layers=tuple(layers),
-                        title="Robustness to decoherence",
-                        x_label="T2 (gate applications)",
-                        y_label="median final error (rad)",
-                        log_x=True, log_y=True)
-    elif kind == "t2_convergence":
-        for t2 in cfg["t2_grid"]:
-            add(f"{label}_t2_{_num_slug(t2)}.csv", "median_error",
-                f"T2={_num_slug(t2)}")
-        spec = PlotSpec(x="step", layers=tuple(layers),
-                        title="Convergence under decoherence",
-                        x_label="step", y_label="median error (rad)",
-                        log_y=True)
-    elif kind == "strategy_comparison":
-        for name in cfg["strategies"]:
-            add(f"{label}_{_strategy_slug(name)}.csv", "median_error", name)
-        spec = PlotSpec(x="step", layers=tuple(layers),
-                        title="Readout strategies",
-                        x_label="step", y_label="median error (rad)",
-                        log_y=True)
-    elif kind == "molecular_scan":
-        add(f"{label}_scan.csv", "estimated_energy", "estimated")
-        if paths:
-            layers.append(Layer(source=0, y="reference_energy",
-                                label="reference"))
-        spec = PlotSpec(x="distance", layers=tuple(layers),
-                        title="Dissociation curve",
-                        x_label="distance (Angstrom)",
-                        y_label="energy (Hartree)")
-    elif kind == "fidelity_curve":
-        add(f"{label}_fidelity.csv", "state_fidelity", "state")
-        if paths:
-            layers.append(Layer(source=0, y="gate_fidelity", label="gate"))
-        spec = PlotSpec(x="sigma", layers=tuple(layers),
-                        title="Fidelity under phase noise",
-                        x_label="sigma_phase (rad)", y_label="fidelity")
-    elif kind == "chernoff_curve":
-        add(f"{label}_chernoff.csv", "chernoff_bound", "Chernoff bound")
-        if paths:
-            layers.append(Layer(source=0, y="exact_tail", label="exact tail"))
-        spec = PlotSpec(x="pe", layers=tuple(layers),
-                        title="Majority-vote failure probability",
-                        x_label="per-shot error probability",
-                        y_label="minority-outcome probability", log_y=True)
-    elif kind == "calibration_fit":
-        add(f"{label}_fringe.csv", "p_op", "data")
-        if paths:
-            layers.append(Layer(source=0, y="p_op_fit", label="fit"))
-        spec = PlotSpec(x="p_el", layers=tuple(layers),
-                        title="Thermo-optic fringe calibration",
-                        x_label="electrical power (mW)",
-                        y_label="optical power (arb.)")
-    else:  # pragma: no cover - kinds table is closed
-        return None
-
-    if not layers:
-        return None
-    name = f"{label}.svg"
-    emit_plot(paths, spec, out / name)
+def _plot(cfg, ctx) -> str:
+    """Draw the CSVs the runner wrote, in the order it wrote them."""
+    kind = _KINDS[cfg["kind"]]
+    layers = tuple(Layer(source=i, y=y, label=legend or series_legend,
+                         band=kind.band)
+                   for i, (_, series_legend) in enumerate(ctx.series)
+                   for y, legend in kind.ys)
+    name = f"{cfg['label']}.svg"
+    emit_plot([ctx.out_dir / csv_name for csv_name, _ in ctx.series],
+              PlotSpec(layers=layers, **kind.plot), ctx.out_dir / name)
     return name
 
 
@@ -1148,11 +1031,9 @@ def run_scenario_config(config: dict, out_dir=None, workers: int = 1,
 
     caught: Optional[BaseException] = None
     try:
-        _RUNNERS[cfg["kind"]](cfg, ctx)
+        _KINDS[cfg["kind"]].run(cfg, ctx)
         if plot:
-            svg = _plot_scenario(cfg, ctx)
-            if svg is not None:
-                ctx.outputs.append(svg)
+            ctx.outputs.append(_plot(cfg, ctx))
     except BaseException as exc:
         caught = exc
         raise
@@ -1167,7 +1048,7 @@ def run_scenario_config(config: dict, out_dir=None, workers: int = 1,
                 "label": cfg["label"],
                 "seed": cfg["rng_seed"],
                 "config": cfg,
-                "criteria": _CRITERIA[cfg["kind"]],
+                "criteria": _KINDS[cfg["kind"]].criteria,
                 "outputs": list(ctx.outputs),
                 "summary": ctx.summary,
                 "complete": caught is None,

@@ -1,4 +1,4 @@
-"""Closed-form analysis of majority-voting breakdown, plus unit rescaling.
+"""Closed-form analysis of majority-voting breakdown.
 
 A bit inferred from n shots with per-shot success probability P > 1/2
 fails with probability at most exp(-n(P-1/2)^2/(2P)) (Chernoff). With a
@@ -81,9 +81,7 @@ def critical_signal(n_bits: int, n: int, pe: float, mode: str = "default") -> fl
 
     mode="default": 1/2 + (sqrt(n_bits*ln n_bits + ln^2 n_bits) - ln n_bits)
     / (n*|1-pe|). The |1-pe| denominator makes the threshold exceed 1/2
-    and diverge as pe -> 1, as the surrounding analysis requires;
-    mode="literal" keeps the published (pe-1) sign for comparison, which
-    puts the threshold below 1/2.
+    and diverge as pe -> 1, as the surrounding analysis requires.
     mode="exact" solves expected_bad_bits = 1 for P0 outright: the
     effective-probability excess is s = (L + sqrt(L^2 + n*L))/n with
     L = ln n_bits, mapped back through the error channel. Only this mode
@@ -100,19 +98,7 @@ def critical_signal(n_bits: int, n: int, pe: float, mode: str = "default") -> fl
     if mode == "default":
         return 0.5 + (math.sqrt(n_bits * log_nb + log_nb ** 2) - log_nb) / (
             n * abs(1.0 - pe))
-    if mode == "literal":
-        return 0.5 + (math.sqrt(n_bits * log_nb + log_nb ** 2) - log_nb) / (
-            n * (pe - 1.0))
     if mode == "exact":
         s = (log_nb + math.sqrt(log_nb ** 2 + n * log_nb)) / n
         return (0.5 + s - 0.5 * pe) / (1.0 - pe)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def physical_t2(t2_units: float, gate_time: float) -> float:
-    """Decoherence time in seconds from per-gate units and gate duration."""
-    if not (t2_units > 0.0):
-        raise ValueError(f"t2_units must be positive, got {t2_units}")
-    if not (gate_time > 0.0):
-        raise ValueError(f"gate_time must be positive, got {gate_time}")
-    return t2_units * gate_time

@@ -1,4 +1,4 @@
-"""Fringe fitting and the electrical-power-to-phase map."""
+"""Fringe fitting, reports and phase-uncertainty propagation."""
 
 import json
 import math
@@ -8,10 +8,9 @@ import pytest
 
 from rfpe_lab.calibration import (FitUnidentifiableError, FringeFit,
                                   FringeSample, fit_fringe, fit_report_json,
-                                  fit_report_text, fringe_model,
-                                  load_fringe_csv, phase_power_map,
-                                  power_for_phase, propagate_phase_uncertainty)
-from rfpe_lab.phases import TWO_PI, circular_distance
+                                  fringe_model, load_fringe_csv,
+                                  propagate_phase_uncertainty)
+from rfpe_lab.phases import TWO_PI
 
 TRUTH = dict(b=0.55, a=0.45, t=75.0, p_phi=42.5)
 
@@ -113,14 +112,6 @@ def _exact_fit() -> FringeFit:
     return fit
 
 
-def test_phase_power_round_trip():
-    fit = _exact_fit()
-    for phi in np.linspace(0.0, TWO_PI, 17, endpoint=False):
-        p = power_for_phase(fit, float(phi))
-        assert 0.0 <= p < fit.t
-        assert circular_distance(phase_power_map(fit, p), phi) < 1e-6
-
-
 def test_propagation_hand_formula():
     fit = FringeFit(b=0.5, a=0.4, t=50.0, p_phi=10.0,
                     std_errors=(0.01, 0.01, 0.5, 0.2),
@@ -160,7 +151,3 @@ def test_reports(tmp_path):
     assert on_disk == report
     assert set(report["parameters"]) == {"b", "a", "t", "p_phi"}
     assert report["r_squared"] == fit.r_squared
-
-    text = fit_report_text(fit)
-    assert "parameter" in text and "std error" in text
-    assert f"n = {fit.n_samples}" in text

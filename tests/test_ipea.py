@@ -1,15 +1,12 @@
-"""Iterative phase estimation: bit ladder, feedback, and analytics."""
+"""Iterative phase estimation: bit ladder and feedback."""
 
-import csv
 import math
 
 import numpy as np
 import pytest
 
 from rfpe_lab.experiment import SyntheticOracle, device_oracle_for_phase
-from rfpe_lab.ipea import (BIT_RECORD_FIELDS, BitRecord, IpeaConfig,
-                           bit_success_probability, ipea_run, theta_feedback,
-                           write_bit_records_csv)
+from rfpe_lab.ipea import IpeaConfig, ipea_run, theta_feedback
 from rfpe_lab.noise import NoiseConfig
 from rfpe_lab.phases import TWO_PI, circular_distance, wrap_phase
 
@@ -104,36 +101,3 @@ def test_tie_breaks_with_fair_coin():
 def test_invalid_outcome_rejected():
     with pytest.raises(ValueError, match="outcome must be 0 or 1"):
         ipea_run(lambda s: [2], IpeaConfig(n_bits=1))
-
-
-def test_bit_success_probability_conventions():
-    # printed form: exponent grows with t2, suppressing success
-    p = bit_success_probability(0.1, 4.0, 3, 0.05, convention="printed")
-    assert p == pytest.approx(0.5 * (1 + math.exp(-0.01 - 0.05 * 8 * 4.0)))
-    q = bit_success_probability(0.1, 4.0, 3, 0.05, convention="inverse_t2")
-    assert q == pytest.approx(0.5 * (1 + math.exp(-0.01 - 0.05 * 8 / 4.0)))
-    assert bit_success_probability(0.3, 0.0, 2, 0.1,
-                                   convention="inverse_t2") == 0.5
-    # both approach the coin-flip floor, from above
-    assert 0.5 < p < q < 1.0
-    with pytest.raises(ValueError):
-        bit_success_probability(0.1, -1.0, 1, 0.1)
-    with pytest.raises(ValueError):
-        bit_success_probability(0.1, 1.0, 1, -0.1)
-    with pytest.raises(ValueError):
-        bit_success_probability(0.1, 1.0, 1, 0.1, convention="other")
-
-
-def test_bit_records_csv(tmp_path):
-    truth = TWO_PI * 0.3
-    _, records = ipea_run(_oracle(truth, seed=4), IpeaConfig(n_bits=6))
-    path = tmp_path / "bits.csv"
-    write_bit_records_csv(records, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == BIT_RECORD_FIELDS
-    assert len(rows) == 6
-    for rec, row in zip(records, rows):
-        assert int(row["k"]) == rec.k
-        assert int(row["m"]) == rec.m
-        assert int(row["bit"]) == rec.bit

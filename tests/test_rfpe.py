@@ -1,7 +1,5 @@
 """Rejection-filtering update, its grid oracle, and the run loop."""
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -12,10 +10,9 @@ from rfpe_lab.experiment import SyntheticOracle
 from rfpe_lab.noise import NoiseConfig
 from rfpe_lab.phases import TWO_PI, ExperimentSetting, circular_distance, likelihood
 from rfpe_lab.rfpe import (DegenerateUpdateError, GaussianBelief, RfpeConfig,
-                           TRACE_FIELDS, UpdateFailure, acceptance_probability,
+                           UpdateFailure, acceptance_probability,
                            grid_posterior, particle_guess,
-                           particle_guess_capped, rejection_update, rfpe_run,
-                           write_trace_csv, write_trace_json)
+                           particle_guess_capped, rejection_update, rfpe_run)
 
 
 # ----------------------------------------------------------------- containers
@@ -267,48 +264,3 @@ def test_retry_ladder_counts_attempts(monkeypatch):
     # the final attempt ran against the widened prior
     assert attempts[-1] == pytest.approx(0.5 * 1.5)
     assert all(a == pytest.approx(0.5) for a in attempts[:-1])
-
-
-# ------------------------------------------------------------------- persistence
-
-
-def test_trace_csv_round_trip(tmp_path):
-    truth = 2.2
-    trace = rfpe_run(_noiseless_oracle(truth, seed=15),
-                     GaussianBelief(math.pi, math.pi),
-                     RfpeConfig(n_steps=5, rng_seed=2), truth=truth)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["step"] for r in rows] == [str(i) for i in range(1, 6)]
-    assert list(rows[0]) == TRACE_FIELDS
-    for row, got in zip(trace, rows):
-        assert float(got["mu"]) == row.posterior.mu
-        assert float(got["sigma"]) == row.posterior.sigma
-        assert float(got["error"]) == row.error
-
-
-def test_trace_csv_blank_error_without_truth(tmp_path):
-    trace = rfpe_run(_noiseless_oracle(1.0, seed=16),
-                     GaussianBelief(math.pi, math.pi),
-                     RfpeConfig(n_steps=2, rng_seed=2))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert all(r["error"] == "" for r in rows)
-
-
-def test_trace_json_round_trip(tmp_path):
-    truth = 3.0
-    trace = rfpe_run(_noiseless_oracle(truth, seed=17),
-                     GaussianBelief(math.pi, math.pi),
-                     RfpeConfig(n_steps=4, rng_seed=4), truth=truth)
-    path = tmp_path / "trace.json"
-    write_trace_json(trace, path)
-    data = json.loads(path.read_text())
-    assert len(data) == 4
-    assert data[0]["step"] == 1
-    assert data[-1]["mu"] == trace[-1].posterior.mu
-    assert path.read_text().endswith("\n")

@@ -79,6 +79,17 @@ def test_cross_checks():
     with pytest.raises(ConfigError, match="must exceed"):
         validate_config({"schema": "rfpe-lab/1", "kind": "calibration_fit",
                          "fringe": {"p_min": 50.0, "p_max": 10.0}})
+    # one output file per listed value: a repeat would overwrite a series
+    text = '{\n  "kind": "t2_convergence",\n  "t2_grid": [8.0, 8.0]\n}\n'
+    with pytest.raises(ConfigError,
+                       match=r"^cfg\.json:3: t2_grid\[1\]: repeats 8\.0"):
+        validate_config({"schema": "rfpe-lab/1", "kind": "t2_convergence",
+                         "t2_grid": [8.0, 8.0]}, source="cfg.json", text=text)
+    with pytest.raises(ConfigError, match=r"strategies\[2\]: repeats"):
+        validate_config({"schema": "rfpe-lab/1",
+                         "kind": "strategy_comparison",
+                         "strategies": ["single_shot", "sampled:3",
+                                        "single_shot"]})
 
 
 def test_load_config_anchors_lines(tmp_path):
@@ -206,6 +217,65 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
         assert (outs[2] / name).read_bytes() == ref
 
 
+_SMALL = {"ensemble": 3, "noise": {"shots": 30},
+          "rfpe": {"n_steps": 5, "n_particles": 100}}
+_SMALL_IPEA = {"n_bits": 4, "repetitions": 2}
+
+# kind: (small overrides, plot title, legend labels)
+_PLOTTED = {
+    "convergence": ({**_SMALL, "ipea": _SMALL_IPEA},
+                    "Phase estimation convergence", ["RFPE", "IPEA"]),
+    "phase_noise_sweep": ({**_SMALL, "ipea": _SMALL_IPEA,
+                           "sigma_grid": [0.0, 0.2]},
+                          "Robustness to phase noise", ["RFPE", "IPEA"]),
+    "t2_sweep": ({**_SMALL, "ipea": _SMALL_IPEA, "t2_grid": [2.0, 8.0]},
+                 "Robustness to decoherence", ["RFPE", "IPEA"]),
+    "t2_convergence": ({**_SMALL, "t2_grid": [2.0, 8.0],
+                        "rfpe": {"n_steps": 6, "n_particles": 100}},
+                       "Convergence under decoherence", ["T2=2", "T2=8"]),
+    "strategy_comparison": ({**_SMALL,
+                             "strategies": ["sampled:3", "single_shot"]},
+                            "Readout strategies",
+                            ["sampled:3", "single_shot"]),
+    "molecular_scan": ({**_SMALL, "ensemble": 1, "rfpe": {"n_steps": 10}},
+                       "Dissociation curve", ["estimated", "reference"]),
+    "fidelity_curve": ({"sigma_grid": [0.0, 0.3], "samples": 1000},
+                       "Fidelity under phase noise", ["state", "gate"]),
+    "chernoff_curve": ({"pe_grid": [0.0, 0.2, 0.4]},
+                       "Majority-vote failure probability",
+                       ["Chernoff bound", "exact tail"]),
+    "calibration_fit": ({"restarts": 2}, "Thermo-optic fringe calibration",
+                        ["data", "fit"]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_plots_and_reruns_byte_identical(tmp_path, kind):
+    over, title, legends = _PLOTTED[kind]
+    cfg = {"schema": "rfpe-lab/1", "kind": kind, "label": "k", "rng_seed": 3,
+           **over}
+    if kind == "molecular_scan":
+        table = tmp_path / "mol.csv"
+        _write_table(table, ["0.5,0.7,-0.1,-0.2,0.05",
+                             "0.6,0.9,-0.15,-0.2,0.05"])
+        cfg["table"] = str(table)
+    dirs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        manifest = run_scenario_config(dict(cfg), out_dir=out,
+                                       workers=workers, plot=True)
+        assert manifest["complete"] is True
+        assert manifest["outputs"][-1] == "k.svg"
+        dirs.append(out)
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    svg = (dirs[0] / "k.svg").read_text()
+    for text in [title] + legends:
+        assert f">{text}</text>" in svg
+
+
 def test_seed_changes_outputs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_scenario_config(_tiny_convergence(), out_dir=a)
@@ -264,19 +334,25 @@ def test_molecular_scan_missing_table_is_config_error(tmp_path):
 
 
 def test_mid_run_failure_flushes_and_marks_incomplete(tmp_path):
-    cfg = {"schema": "rfpe-lab/1", "kind": "t2_sweep", "label": "part",
-           "algorithm": "rfpe", "ensemble": 2, "t2_grid": [4.0, 2.0, 0.5],
-           "noise": {"shots": 30}, "rfpe": {"n_steps": 4, "n_particles": 100}}
-    with pytest.raises(ValueError, match="below one gate time"):
-        run_scenario_config(cfg, out_dir=tmp_path)
-    manifest = json.loads((tmp_path / "part_manifest.json").read_text())
-    assert manifest["complete"] is False
-    assert "ValueError" in manifest["error"]
-    assert manifest["outputs"] == ["part_rfpe.csv"]
-    rows = (tmp_path / "part_rfpe.csv").read_text().splitlines()
-    assert rows[0] == "t2,median_error,p16_error,p84_error"
-    assert len(rows) == 3  # the two completed grid points survived
-    assert [r.split(",")[0] for r in rows[1:]] == ["4.0", "2.0"]
+    for algorithm, outputs in [("rfpe", ["part_rfpe.csv"]),
+                               ("both", ["part_rfpe.csv", "part_ipea.csv"])]:
+        out = tmp_path / algorithm
+        cfg = {"schema": "rfpe-lab/1", "kind": "t2_sweep", "label": "part",
+               "algorithm": algorithm, "ensemble": 2,
+               "t2_grid": [4.0, 2.0, 0.5], "noise": {"shots": 30},
+               "rfpe": {"n_steps": 4, "n_particles": 100},
+               "ipea": {"n_bits": 4, "repetitions": 2}}
+        with pytest.raises(ValueError, match="below one gate time"):
+            run_scenario_config(cfg, out_dir=out)
+        manifest = json.loads((out / "part_manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert "ValueError" in manifest["error"]
+        assert manifest["outputs"] == outputs
+        for name in outputs:
+            rows = (out / name).read_text().splitlines()
+            assert rows[0] == "t2,median_error,p16_error,p84_error"
+            assert len(rows) == 3  # the two completed grid points survived
+            assert [r.split(",")[0] for r in rows[1:]] == ["4.0", "2.0"]
 
 
 def test_strategy_comparison_outputs(tmp_path):

@@ -11,7 +11,7 @@ from scipy import stats
 
 from rfpe_lab.voting import (VotingScenario, chernoff_bound, critical_signal,
                              effective_probability, exact_minority_tail,
-                             expected_bad_bits, physical_t2)
+                             expected_bad_bits)
 
 
 def test_chernoff_reference_point():
@@ -79,11 +79,6 @@ def test_critical_signal_frozen_values():
         0.5088837750855592, rel=1e-12)
     assert critical_signal(16, 500, 0.0, mode="exact") == pytest.approx(
         0.5802173036856033, rel=1e-12)
-    # the published sign puts the threshold below 1/2; kept for comparison
-    literal = critical_signal(16, 500, 0.0, mode="literal")
-    assert literal < 0.5
-    assert literal == pytest.approx(1.0 - critical_signal(16, 500, 0.0),
-                                    rel=1e-12)
 
 
 def test_critical_signal_monotone_in_pe():
@@ -121,11 +116,3 @@ def test_critical_signal_validation():
         critical_signal(16, 500, 1.0)
     with pytest.raises(ValueError):
         critical_signal(16, 500, 0.0, mode="other")
-
-
-def test_physical_t2():
-    assert physical_t2(32.0, 1e-6) == pytest.approx(3.2e-5, rel=1e-12)
-    with pytest.raises(ValueError):
-        physical_t2(0.0, 1e-6)
-    with pytest.raises(ValueError):
-        physical_t2(32.0, 0.0)
