@@ -18,9 +18,8 @@ from .device import (CircuitInstance, FidelityPoint, NonUnitaryError,
                      probability_from_phases, simulate_probability)
 from .experiment import DeviceOracle, SyntheticOracle, device_oracle_for_phase
 from .ipea import BitRecord, IpeaConfig, ipea_run, theta_feedback
-from .noise import (CountPair, MajorityVote, NoiseConfig, Sampled, SingleShot,
-                    depolarize, perturb_phases, reduce_outcome, sample_counts,
-                    strategy_from_name, strategy_name)
+from .noise import (CountPair, NoiseConfig, depolarize, perturb_phases,
+                    readouts, reduce_outcome, sample_counts)
 from .phases import (TWO_PI, ExperimentSetting, circular_distance, likelihood,
                      wrap_phase)
 from .rfpe import (DegenerateUpdateError, GaussianBelief, InferenceTraceRow,

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.stats import t as student_t
 
 from .phases import TWO_PI
 
@@ -119,6 +117,11 @@ def fit_fringe(data: Sequence[FringeSample], restarts: int = 16,
     Singular normal matrices yield infinite standard errors instead of
     failure.
     """
+    # scipy is imported here, not at module level: it dominates the
+    # package's import time and only the fit needs it.
+    from scipy.optimize import least_squares
+    from scipy.stats import t as student_t
+
     if rng is None:
         rng = np.random.default_rng(0)
     if restarts < 1:

@@ -11,12 +11,10 @@ and a fast path for shot-statistics studies.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .device import (StatePrepSpec, UnitarySpec, compose_power, euler_angles,
-                     probability_from_phases)
+                     phase_gate_instance, probability_from_phases)
 from .noise import NoiseConfig, depolarize, perturb_phases, reduce_outcome, sample_counts
 from .phases import ExperimentSetting, likelihood
 
@@ -90,12 +88,7 @@ class SyntheticOracle:
 
 
 def device_oracle_for_phase(phi: float, noise: NoiseConfig,
-                            rng: np.random.Generator,
-                            prep_excited: bool = True) -> DeviceOracle:
+                            rng: np.random.Generator) -> DeviceOracle:
     """Oracle for the default diagonal target with eigenphase phi."""
-    from .device import phase_gate_instance
-
     unitary, prep = phase_gate_instance(phi)
-    if not prep_excited:
-        prep = StatePrepSpec(theta_z=0.0, theta_y=0.0)
     return DeviceOracle(unitary=unitary, prep=prep, noise=noise, rng=rng)

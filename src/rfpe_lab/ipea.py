@@ -13,11 +13,11 @@ algorithm's determinism on noiseless hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .phases import TWO_PI, ExperimentSetting, wrap_phase
+from .phases import TWO_PI, ExperimentSetting, Oracle, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,6 @@ class BitRecord:
     bit: int
 
 
-Oracle = Callable[[ExperimentSetting], Union[int, Sequence[int]]]
-
-
 def theta_feedback(known_low_bits: Sequence[int]) -> float:
     """Feedback phase from already-inferred bits, least significant last.
 
@@ -63,16 +60,14 @@ def theta_feedback(known_low_bits: Sequence[int]) -> float:
     return wrap_phase(TWO_PI * acc)
 
 
-def ipea_run(oracle: Oracle, config: IpeaConfig,
-             rng: np.random.Generator | None = None) -> tuple[float, list[BitRecord]]:
+def ipea_run(oracle: Oracle, config: IpeaConfig) -> tuple[float, list[BitRecord]]:
     """Infer n_bits of the eigenphase, majority-voting each bit.
 
     Returns the estimate 2*pi*0.b1...bn and the per-bit records. Ties
-    are broken by a fair coin, so an RNG is consulted only on ties (and
-    by stochastic oracles).
+    are broken by a fair coin drawn from the config.rng_seed stream,
+    which nothing else consults.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(config.rng_seed)
     n = config.n_bits
     bits: list[int] = []  # most recently inferred first
     records: list[BitRecord] = []

@@ -11,58 +11,30 @@ one or more binary data for the estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SingleShot:
-    """One Bernoulli datum per measurement, P(0) = n0/(n0+n1)."""
+def readouts(strategy: str) -> int:
+    """Number of binary data one measurement yields under a readout strategy.
 
-    label = "single_shot"
-
-
-@dataclass(frozen=True)
-class Sampled:
-    """n Bernoulli data per measurement, each with P(0) = n0/(n0+n1)."""
-
-    n: int = 3
-    label = "sampled"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"Sampled strategy needs n >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class MajorityVote:
-    """One datum per measurement: the more frequent outcome, fair coin on ties."""
-
-    label = "majority_vote"
-
-
-Strategy = Union[SingleShot, Sampled, MajorityVote]
-
-
-def strategy_from_name(name: str) -> Strategy:
-    """Parse 'single_shot', 'majority_vote', 'sampled' or 'sampled:<n>'."""
-    if name == "single_shot":
-        return SingleShot()
-    if name == "majority_vote":
-        return MajorityVote()
-    if name == "sampled":
-        return Sampled()
-    if name.startswith("sampled:"):
-        return Sampled(n=int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown strategy name {name!r}")
-
-
-def strategy_name(strategy: Strategy) -> str:
-    if isinstance(strategy, Sampled):
-        return f"sampled:{strategy.n}"
-    return strategy.label
+    'single_shot' draws one Bernoulli datum with P(0) = n0/(n0+n1);
+    'sampled:<n>' draws n such data ('sampled' means 'sampled:3');
+    'majority_vote' gives the more frequent outcome, a fair coin on ties.
+    Any other name raises ValueError.
+    """
+    if strategy in ("single_shot", "majority_vote"):
+        return 1
+    if strategy == "sampled":
+        return 3
+    if strategy.startswith("sampled:"):
+        n = int(strategy.split(":", 1)[1])
+        if n < 1:
+            raise ValueError(f"sampled strategy needs n >= 1, got {n}")
+        return n
+    raise ValueError(f"unknown strategy name {strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -71,16 +43,18 @@ class NoiseConfig:
 
     t2 is in units of the per-controlled-gate time, so the depolarizing
     weight after m repetitions is 1 - exp(-m/t2). t2=None disables
-    decoherence entirely.
+    decoherence entirely. strategy is a readout-strategy name that
+    `readouts` accepts.
     """
 
     sigma_phase: float = 0.0
     t2: Optional[float] = None
     shots: int = 2000
-    strategy: Strategy = field(default_factory=MajorityVote)
+    strategy: str = "majority_vote"
     poissonian: bool = False
 
     def __post_init__(self):
+        readouts(self.strategy)
         if self.sigma_phase < 0.0:
             raise ValueError(f"sigma_phase must be non-negative, got {self.sigma_phase}")
         if self.t2 is not None and not (self.t2 > 0.0):
@@ -149,19 +123,18 @@ def sample_counts(p: float, shots: int, poissonian: bool,
             return CountPair(n0=n0, n1=n1)
 
 
-def reduce_outcome(counts: CountPair, strategy: Strategy,
+def reduce_outcome(counts: CountPair, strategy: str,
                    rng: np.random.Generator) -> list[int]:
     """Collapse a count pair into the binary data fed to the estimator.
 
     The returned list drives that many sequential Bayesian updates at
     the same experiment setting.
     """
-    if isinstance(strategy, MajorityVote):
+    if strategy == "majority_vote":
         if counts.n0 > counts.n1:
             return [0]
         if counts.n1 > counts.n0:
             return [1]
         return [int(rng.integers(0, 2))]
-    n = 1 if isinstance(strategy, SingleShot) else strategy.n
     p0 = counts.n0 / counts.total
-    return [int(v) for v in (rng.random(n) >= p0).astype(int)]
+    return [int(v) for v in (rng.random(readouts(strategy)) >= p0).astype(int)]

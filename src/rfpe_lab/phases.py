@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,6 +45,10 @@ class ExperimentSetting:
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
         object.__setattr__(self, "theta", wrap_phase(self.theta))
+
+
+# An experiment: a setting in, one outcome or a sequence of them out.
+Oracle = Callable[[ExperimentSetting], Union[int, Sequence[int]]]
 
 
 def likelihood(outcome: int, phi: float, setting: ExperimentSetting) -> float:

@@ -17,15 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .phases import TWO_PI, ExperimentSetting, circular_distance, likelihood, wrap_phase
+from .phases import (TWO_PI, ExperimentSetting, Oracle, circular_distance,
+                     wrap_phase)
 
 # Smallest admissible belief width; a refit collapsing below this is clamped.
 SIGMA_FLOOR = 1e-15
+# A failed update is redrawn this many times, then tried once more from a
+# prior widened by SIGMA_INFLATION.
+MAX_RETRIES = 10
+SIGMA_INFLATION = 1.5
 
 
 class UpdateFailure(RuntimeError):
@@ -64,8 +69,6 @@ class RfpeConfig:
     kappa_e: float = 1.0
     t2_cap: Optional[float] = None
     rng_seed: int = 0
-    max_retries: int = 10
-    sigma_inflation: float = 1.5
 
     def __post_init__(self):
         if self.n_particles < 2:
@@ -83,9 +86,6 @@ class InferenceTraceRow:
     outcome: int
     posterior: GaussianBelief
     error: Optional[float] = None
-
-
-Oracle = Callable[[ExperimentSetting], Union[int, Sequence[int]]]
 
 
 def particle_guess(belief: GaussianBelief, rng: np.random.Generator) -> ExperimentSetting:
@@ -180,18 +180,18 @@ def grid_posterior(outcome: int, belief: GaussianBelief, setting: ExperimentSett
 
 
 def _update_with_retries(outcome, belief, setting, config, rng):
-    for _ in range(config.max_retries):
+    for _ in range(MAX_RETRIES):
         try:
             return rejection_update(outcome, belief, setting, config, rng)
         except UpdateFailure:
             continue
     # Last resort: widen the prior once and try again.
-    inflated = GaussianBelief(mu=belief.mu, sigma=belief.sigma * config.sigma_inflation)
+    inflated = GaussianBelief(mu=belief.mu, sigma=belief.sigma * SIGMA_INFLATION)
     try:
         return rejection_update(outcome, inflated, setting, config, rng)
     except UpdateFailure as exc:
         raise UpdateFailure(
-            f"update failed after {config.max_retries} retries and one "
+            f"update failed after {MAX_RETRIES} retries and one "
             f"sigma inflation (m={setting.m}, outcome={outcome})") from exc
 
 

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -36,7 +36,7 @@ from .calibration import (FringeSample, fit_fringe, fit_report_json,
 from .device import fidelity_vs_noise, phase_gate_instance
 from .experiment import device_oracle_for_phase
 from .ipea import IpeaConfig, ipea_run
-from .noise import NoiseConfig, strategy_from_name
+from .noise import NoiseConfig, readouts
 from .phases import TWO_PI, circular_distance, wrap_phase
 from .rfpe import GaussianBelief, RfpeConfig, rfpe_run
 from .svgplot import Layer, PlotSpec, emit_plot
@@ -131,16 +131,26 @@ def _as_grid(chk, path, v, lo=None, lo_open=False, hi=None, hi_open=False):
 def _as_strategy(chk, path, v):
     name = _as_str(chk, path, v)
     try:
-        strategy_from_name(name)
+        readouts(name)
     except ValueError as exc:
         chk.fail(path, str(exc))
     return name
 
 
+def _optional(fn):
+    """The validator `fn`, also accepting null."""
+    return lambda c, p, v: None if v is None else fn(c, p, v)
+
+
 def _as_t2(chk, path, v):
-    if v is None:
-        return None
     return _as_num(chk, path, v, lo=0.0, lo_open=True)
+
+
+def _as_t2_cap(chk, path, v):
+    cap = _as_num(chk, path, v)
+    if cap < 1.0:
+        chk.fail(path, f"a T2 cap below one gate time is unusable, got {cap}")
+    return cap
 
 
 def _as_label(chk, path, v):
@@ -150,12 +160,6 @@ def _as_label(chk, path, v):
     if not ok:
         chk.fail(path, f"label must be a simple file-name stem, got {name!r}")
     return name
-
-
-def _as_opt_str(chk, path, v):
-    if v is None:
-        return None
-    return _as_str(chk, path, v)
 
 
 _REQUIRED = object()
@@ -178,14 +182,15 @@ def _check_mapping(chk, path, value, spec):
     return out
 
 
-def _noise_spec(strategy="majority_vote"):
-    return {
-        "sigma_phase": (lambda c, p, v: _as_num(c, p, v, lo=0.0), 0.0),
-        "t2": (_as_t2, None),
-        "shots": (lambda c, p, v: _as_int(c, p, v, lo=1), 2000),
-        "strategy": (_as_strategy, strategy),
-        "poissonian": (_as_bool, False),
-    }
+# The noise and rfpe keys are the fields of NoiseConfig and RfpeConfig,
+# which `_results` builds from them.
+_NOISE_SPEC = {
+    "sigma_phase": (lambda c, p, v: _as_num(c, p, v, lo=0.0), 0.0),
+    "t2": (_optional(_as_t2), None),
+    "shots": (lambda c, p, v: _as_int(c, p, v, lo=1), 2000),
+    "strategy": (_as_strategy, "majority_vote"),
+    "poissonian": (_as_bool, False),
+}
 
 
 def _rfpe_spec(n_steps):
@@ -194,7 +199,7 @@ def _rfpe_spec(n_steps):
         "n_steps": (lambda c, p, v: _as_int(c, p, v, lo=1), n_steps),
         "kappa_e": (lambda c, p, v: _as_num(c, p, v, lo=0.0, hi=1.0,
                                             lo_open=True), 1.0),
-        "t2_cap": (_as_t2, None),
+        "t2_cap": (_optional(_as_t2_cap), None),
     }
 
 
@@ -237,7 +242,7 @@ def _common_spec(kind):
         "kind": (lambda c, p, v: _as_str(c, p, v, set(KINDS)), kind),
         "rng_seed": (lambda c, p, v: _as_int(c, p, v, lo=0), 0),
         "label": (_as_label, kind),
-        "out_dir": (_as_opt_str, None),
+        "out_dir": (_optional(_as_str), None),
     }
 
 
@@ -267,6 +272,10 @@ def _cross_checks(chk, cfg, raw):
         if cfg["rfpe"]["t2_cap"] is not None:
             chk.fail("rfpe.t2_cap",
                      "set by the sweep when cap_pgh is true; leave it null")
+        for i, t2 in enumerate(cfg["t2_grid"] if cfg["cap_pgh"] else ()):
+            if t2 < 1.0:
+                chk.fail(f"t2_grid[{i}]", "cap_pgh caps m at this T2, and a "
+                         f"cap below one gate time is unusable, got {t2}")
     # each value names one output file, so a repeat would overwrite one
     listed = {"t2_convergence": "t2_grid",
               "strategy_comparison": "strategies"}.get(kind)
@@ -392,67 +401,82 @@ def load_molecular_table(path, scale: Optional[float] = None,
 # Trial execution
 
 
-def _streams(payload: dict) -> tuple[np.random.Generator, int]:
-    """Derive (oracle rng, algorithm seed) for one trial."""
-    root = np.random.SeedSequence([
-        int(payload["rng_seed"]), int(payload["kind_tag"]),
-        int(payload["algo_tag"]), int(payload["grid"]), int(payload["trial"])])
-    oracle_ss, algo_ss = root.spawn(2)
+def _seed(cfg, algo_tag, *key) -> np.random.SeedSequence:
+    """Root of one random stream of a study: (seed, kind, algorithm, *key)."""
+    return np.random.SeedSequence(
+        [cfg["rng_seed"], _KIND_TAG[cfg["kind"]], algo_tag, *key])
+
+
+@dataclass(frozen=True)
+class _Trial:
+    """One estimator run: its stream root, target, noise, config and prior."""
+
+    seed: np.random.SeedSequence
+    truth: float
+    noise: NoiseConfig
+    config: RfpeConfig | IpeaConfig
+    prior: Optional[GaussianBelief] = None
+
+
+def _start(trial: _Trial):
+    """The trial's oracle, and its config seeded from the algorithm stream.
+
+    Spawning counts children on the seed itself, so a trial runs once.
+    """
+    oracle_ss, algo_ss = trial.seed.spawn(2)
     algo_seed = int(algo_ss.generate_state(1, dtype=np.uint64)[0] >> 1)
-    return np.random.default_rng(oracle_ss), algo_seed
+    oracle = device_oracle_for_phase(trial.truth, trial.noise,
+                                     np.random.default_rng(oracle_ss))
+    return oracle, replace(trial.config, rng_seed=algo_seed)
 
 
-def _noise_config(d: dict) -> NoiseConfig:
-    return NoiseConfig(sigma_phase=float(d["sigma_phase"]),
-                       t2=None if d["t2"] is None else float(d["t2"]),
-                       shots=int(d["shots"]),
-                       strategy=strategy_from_name(d["strategy"]),
-                       poissonian=bool(d["poissonian"]))
-
-
-def _rfpe_trial(payload: dict) -> dict:
-    oracle_rng, algo_seed = _streams(payload)
-    oracle = device_oracle_for_phase(payload["truth"],
-                                     _noise_config(payload["noise"]),
-                                     oracle_rng)
-    r = payload["rfpe"]
-    config = RfpeConfig(n_particles=r["n_particles"], n_steps=r["n_steps"],
-                        kappa_e=r["kappa_e"], t2_cap=r["t2_cap"],
-                        rng_seed=algo_seed)
-    prior = GaussianBelief(mu=payload["prior"]["mu"],
-                           sigma=payload["prior"]["sigma"])
-    trace = rfpe_run(oracle, prior, config, truth=payload["truth"])
+def _rfpe_trial(trial: _Trial) -> dict:
+    oracle, config = _start(trial)
+    trace = rfpe_run(oracle, trial.prior, config, truth=trial.truth)
     return {"errors": [row.error for row in trace],
             "sigmas": [row.posterior.sigma for row in trace],
             "final_mu": trace[-1].posterior.mu}
 
 
-def _ipea_trial(payload: dict) -> dict:
-    oracle_rng, algo_seed = _streams(payload)
-    oracle = device_oracle_for_phase(payload["truth"],
-                                     _noise_config(payload["noise"]),
-                                     oracle_rng)
-    i = payload["ipea"]
-    config = IpeaConfig(n_bits=i["n_bits"], shots_per_bit=i["shots_per_bit"],
-                        rng_seed=algo_seed)
+def _ipea_trial(trial: _Trial) -> dict:
+    oracle, config = _start(trial)
     estimate, records = ipea_run(oracle, config)
-    truth = wrap_phase(payload["truth"])
     partial = 0.0
     errors = []
     for rec in records:
         partial += rec.bit * 2.0 ** -rec.k
-        errors.append(circular_distance(TWO_PI * partial, truth))
+        errors.append(circular_distance(TWO_PI * partial, trial.truth))
     return {"errors": errors,
-            "final": circular_distance(estimate, truth)}
+            "final": circular_distance(estimate, trial.truth)}
 
 
-def _run_trials(fn: Callable[[dict], dict], payloads: Sequence[dict],
+def _run_trials(fn: Callable[[_Trial], dict], trials: Sequence[_Trial],
                 workers: int) -> list[dict]:
-    if workers <= 1 or len(payloads) < 2:
-        return [fn(p) for p in payloads]
-    chunk = max(1, len(payloads) // (4 * workers))
+    if workers <= 1 or len(trials) < 2:
+        return [fn(t) for t in trials]
+    chunk = max(1, len(trials) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunk))
+        return list(pool.map(fn, trials, chunksize=chunk))
+
+
+def _results(cfg, ctx, algo, noise_d, grid, truth=None,
+             rfpe_over=None) -> list[dict]:
+    """One ensemble of `algo` ("rfpe" or "ipea") at grid point `grid`."""
+    noise = NoiseConfig(**noise_d)
+    truth = wrap_phase(cfg["truth"] if truth is None else truth)
+    if algo == "rfpe":
+        tag, fn, n_trials = _ALGO_RFPE, _rfpe_trial, cfg["ensemble"]
+        config = RfpeConfig(**{**cfg["rfpe"], **(rfpe_over or {})})
+        prior = GaussianBelief(**cfg["prior"])
+    else:
+        ipea = cfg["ipea"]
+        tag, fn, n_trials = _ALGO_IPEA, _ipea_trial, ipea["repetitions"]
+        config = IpeaConfig(n_bits=ipea["n_bits"],
+                            shots_per_bit=ipea["shots_per_bit"])
+        prior = None
+    trials = [_Trial(_seed(cfg, tag, grid, trial), truth, noise, config, prior)
+              for trial in range(n_trials)]
+    return _run_trials(fn, trials, ctx.workers)
 
 
 # --------------------------------------------------------------------------
@@ -524,10 +548,6 @@ def _num_slug(v: float) -> str:
     return repr(float(v)).replace(".", "p").replace("-", "m")
 
 
-def _strategy_slug(name: str) -> str:
-    return name.replace(":", "_")
-
-
 def _median_stderr(values, rng: np.random.Generator, n_boot: int = 200) -> float:
     """Bootstrap standard error of the sample median."""
     vals = np.asarray(values, dtype=float)
@@ -559,33 +579,6 @@ class _RunContext:
         return p if p.is_absolute() else self.base_dir / p
 
 
-def _base_payload(cfg, algo_tag, grid, trial, noise_d, truth=None) -> dict:
-    return {"rng_seed": cfg["rng_seed"], "kind_tag": _KIND_TAG[cfg["kind"]],
-            "algo_tag": algo_tag, "grid": grid, "trial": trial,
-            "noise": noise_d,
-            "truth": wrap_phase(cfg["truth"] if truth is None else truth)}
-
-
-def _rfpe_results(cfg, ctx, noise_d, grid, truth=None, rfpe_over=None) -> list[dict]:
-    rfpe_d = dict(cfg["rfpe"], **(rfpe_over or {}))
-    payloads = []
-    for trial in range(cfg["ensemble"]):
-        p = _base_payload(cfg, _ALGO_RFPE, grid, trial, noise_d, truth)
-        p["rfpe"] = rfpe_d
-        p["prior"] = cfg["prior"]
-        payloads.append(p)
-    return _run_trials(_rfpe_trial, payloads, ctx.workers)
-
-
-def _ipea_results(cfg, ctx, noise_d, grid, truth=None) -> list[dict]:
-    payloads = []
-    for trial in range(cfg["ipea"]["repetitions"]):
-        p = _base_payload(cfg, _ALGO_IPEA, grid, trial, noise_d, truth)
-        p["ipea"] = cfg["ipea"]
-        payloads.append(p)
-    return _run_trials(_ipea_trial, payloads, ctx.workers)
-
-
 _STEP_HEADER = ["step", "median_error", "p16_error", "p84_error"]
 
 
@@ -608,7 +601,7 @@ def _rfpe_step_rows(results) -> list[tuple]:
 def _run_convergence(cfg, ctx):
     label = cfg["label"]
     if cfg["algorithm"] in ("rfpe", "both"):
-        results = _rfpe_results(cfg, ctx, cfg["noise"], grid=0)
+        results = _results(cfg, ctx, "rfpe", cfg["noise"], grid=0)
         rows = _rfpe_step_rows(results)
         ctx.write_csv(f"{label}_rfpe.csv", _STEP_HEADER + ["median_sigma"],
                       rows, "RFPE")
@@ -621,7 +614,7 @@ def _run_convergence(cfg, ctx):
             "rfpe_coverage_2sigma": float(np.mean(finals <= 2.0 * final_sigmas)),
         })
     if cfg["algorithm"] in ("ipea", "both"):
-        results = _ipea_results(cfg, ctx, cfg["noise"], grid=0)
+        results = _results(cfg, ctx, "ipea", cfg["noise"], grid=0)
         ctx.write_csv(f"{label}_ipea.csv", _STEP_HEADER,
                       _step_rows([r["errors"] for r in results]), "IPEA")
         ctx.summary["ipea_final_median_error"] = float(
@@ -643,13 +636,13 @@ def _sweep(cfg, ctx, axis, grid_key, point) -> dict[str, list[float]]:
         for gi, value in enumerate(grid):
             rfpe_noise, rfpe_over, ipea_noise = point(value)
             if "rfpe" in rows:
-                finals = [r["errors"][-1] for r in _rfpe_results(
-                    cfg, ctx, rfpe_noise, gi, rfpe_over=rfpe_over)]
+                finals = [r["errors"][-1] for r in _results(
+                    cfg, ctx, "rfpe", rfpe_noise, gi, rfpe_over=rfpe_over)]
                 lo, med, hi = _pct3(finals)
                 rows["rfpe"].append((value, med, lo, hi))
             if "ipea" in rows:
-                finals = [r["final"]
-                          for r in _ipea_results(cfg, ctx, ipea_noise, gi)]
+                finals = [r["final"] for r in _results(
+                    cfg, ctx, "ipea", ipea_noise, gi)]
                 lo, med, hi = _pct3(finals)
                 rows["ipea"].append((value, med, lo, hi))
     finally:
@@ -691,8 +684,8 @@ def _run_t2_convergence(cfg, ctx):
     for gi, t2 in enumerate(cfg["t2_grid"]):
         noise_d = dict(cfg["noise"], t2=t2)
         over = {"t2_cap": t2} if cfg["cap_pgh"] else None
-        rows = _rfpe_step_rows(_rfpe_results(cfg, ctx, noise_d, gi,
-                                             rfpe_over=over))
+        rows = _rfpe_step_rows(_results(cfg, ctx, "rfpe", noise_d, gi,
+                                        rfpe_over=over))
         ctx.write_csv(f"{label}_t2_{_num_slug(t2)}.csv",
                       _STEP_HEADER + ["median_sigma"], rows,
                       f"T2={_num_slug(t2)}")
@@ -710,13 +703,12 @@ def _run_strategy_comparison(cfg, ctx):
     per_step: dict[str, dict] = {}
     for gi, name in enumerate(cfg["strategies"]):
         noise_d = dict(cfg["noise"], strategy=name)
-        errors = np.array([r["errors"]
-                           for r in _rfpe_results(cfg, ctx, noise_d, gi)])
-        boot_rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg["rng_seed"], _KIND_TAG[cfg["kind"]], _ALGO_MISC, gi]))
+        errors = np.array([r["errors"] for r in _results(
+            cfg, ctx, "rfpe", noise_d, gi)])
+        boot_rng = np.random.default_rng(_seed(cfg, _ALGO_MISC, gi))
         stderrs = [_median_stderr(col, boot_rng) for col in errors.T]
         rows = _step_rows(errors, stderrs)
-        ctx.write_csv(f"{label}_{_strategy_slug(name)}.csv",
+        ctx.write_csv(f"{label}_{name.replace(':', '_')}.csv",
                       _STEP_HEADER + ["stderr_median"], rows, name)
         per_step[name] = {"median": [row[1] for row in rows],
                           "stderr": stderrs}
@@ -740,8 +732,8 @@ def _run_molecular_scan(cfg, ctx):
     rows: list[tuple] = []
     try:
         for gi, rec in enumerate(records):
-            results = _rfpe_results(cfg, ctx, cfg["noise"], gi,
-                                    truth=rec.eigenphase)
+            results = _results(cfg, ctx, "rfpe", cfg["noise"], gi,
+                               truth=rec.eigenphase)
             errors = [circular_distance(r["final_mu"], rec.eigenphase)
                       for r in results]
             mid = int(np.argsort(errors)[len(errors) // 2])
@@ -766,8 +758,7 @@ def _run_molecular_scan(cfg, ctx):
 
 def _run_fidelity_curve(cfg, ctx):
     label = cfg["label"]
-    rng = np.random.default_rng(np.random.SeedSequence(
-        [cfg["rng_seed"], _KIND_TAG[cfg["kind"]], _ALGO_MISC]))
+    rng = np.random.default_rng(_seed(cfg, _ALGO_MISC))
     unitary, prep = phase_gate_instance(wrap_phase(cfg["truth"]))
     points = fidelity_vs_noise(unitary, prep, cfg["sigma_grid"],
                                cfg["samples"], rng)
@@ -816,16 +807,14 @@ def _run_calibration_fit(cfg, ctx):
     else:
         fr = cfg["fringe"]
         truth = {k: fr[k] for k in ("b", "a", "t", "p_phi")}
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg["rng_seed"], _KIND_TAG[cfg["kind"]], _ALGO_MISC, 0]))
+        rng = np.random.default_rng(_seed(cfg, _ALGO_MISC, 0))
         p_el = np.linspace(fr["p_min"], fr["p_max"], fr["n_points"])
         p_op = fringe_model(fr["b"], fr["a"], fr["t"], fr["p_phi"], p_el) \
             + rng.normal(0.0, fr["sigma_op"], size=p_el.size)
         samples = [FringeSample(float(x), float(y))
                    for x, y in zip(p_el, p_op)]
 
-    fit_rng = np.random.default_rng(np.random.SeedSequence(
-        [cfg["rng_seed"], _KIND_TAG[cfg["kind"]], _ALGO_MISC, 1]))
+    fit_rng = np.random.default_rng(_seed(cfg, _ALGO_MISC, 1))
     fit = fit_fringe(samples, restarts=cfg["restarts"], rng=fit_rng)
 
     rows = []
@@ -885,7 +874,7 @@ _FINAL_ERROR_AXIS = dict(log_y=True, y_label="median final error (rad)")
 _KINDS = {
     "convergence": _Kind(
         spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_ensemble(100),
-                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(50)),
+                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(50)),
                   ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
         criteria=[1, 2, 11], run=_run_convergence,
         plot=dict(x="step", title="Phase estimation convergence",
@@ -897,7 +886,7 @@ _KINDS = {
                               list(_DEFAULT_SIGMA_GRID)),
                   rfpe_strategy=(_as_strategy, "single_shot"),
                   ipea_strategy=(_as_strategy, "majority_vote"),
-                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(100)),
+                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(100)),
                   ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
         criteria=[4, 11], run=_run_phase_noise_sweep,
         plot=dict(x="sigma_phase", title="Robustness to phase noise",
@@ -909,7 +898,7 @@ _KINDS = {
                                                     lo_open=True),
                            list(_DEFAULT_T2_GRID)),
                   cap_pgh=(_as_bool, True),
-                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(100)),
+                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(100)),
                   ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
         criteria=[6, 11], run=_run_t2_sweep,
         plot=dict(x="t2", title="Robustness to decoherence",
@@ -922,7 +911,7 @@ _KINDS = {
                                                     lo_open=True),
                            [2.0, 8.0, 32.0, 128.0]),
                   cap_pgh=(_as_bool, True),
-                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(100)),
+                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(100)),
                   prior=_sub(_PRIOR_SPEC)),
         criteria=[6, 11], run=_run_t2_convergence,
         plot=dict(x="step", title="Convergence under decoherence",
@@ -932,7 +921,7 @@ _KINDS = {
         spec=dict(truth=_TRUTH, ensemble=_ensemble(200),
                   strategies=(_as_strategies,
                               ["sampled:3", "majority_vote", "single_shot"]),
-                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(10)),
+                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(10)),
                   prior=_sub(_PRIOR_SPEC)),
         criteria=[7, 11], run=_run_strategy_comparison,
         plot=dict(x="step", title="Readout strategies", x_label="step",
@@ -940,14 +929,12 @@ _KINDS = {
         ys=_MEDIAN),
     "molecular_scan": _Kind(
         spec=dict(table=(_as_str, _REQUIRED),
-                  scale=(lambda c, p, v: None if v is None
-                         else _as_num(c, p, v), None),
-                  offset=(lambda c, p, v: None if v is None
-                          else _as_num(c, p, v), None),
+                  scale=(_optional(_as_num), None),
+                  offset=(_optional(_as_num), None),
                   # median-of-5 estimate per point; a lone multimodal run
                   # would otherwise sink the whole scan
                   ensemble=_ensemble(5),
-                  noise=_sub(_noise_spec()), rfpe=_sub(_rfpe_spec(50)),
+                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(50)),
                   prior=_sub(_PRIOR_SPEC)),
         criteria=[10, 11], run=_run_molecular_scan,
         plot=dict(x="distance", title="Dissociation curve",
@@ -978,7 +965,7 @@ _KINDS = {
         ys=(("chernoff_bound", "Chernoff bound"),
             ("exact_tail", "exact tail"))),
     "calibration_fit": _Kind(
-        spec=dict(data=(_as_opt_str, None), fringe=_sub(_FRINGE_SPEC),
+        spec=dict(data=(_optional(_as_str), None), fringe=_sub(_FRINGE_SPEC),
                   restarts=(lambda c, p, v: _as_int(c, p, v, lo=1), 16)),
         criteria=[9, 11], run=_run_calibration_fit,
         plot=dict(x="p_el", title="Thermo-optic fringe calibration",

@@ -5,7 +5,6 @@ scenario runs are session fixtures so several criteria can share one
 ensemble.
 """
 
-import json
 import math
 import time
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rfpe_lab
+from rfpe_lab import scenarios
 from rfpe_lab.cli import main
 
 
@@ -63,9 +64,17 @@ def test_run_rejects_missing_file_and_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_run_mid_run_failure_exits_one(tmp_path, capsys):
+def test_run_mid_run_failure_exits_one(tmp_path, capsys, monkeypatch):
+    run = scenarios.rfpe_run
+
+    def fail_at_second_point(oracle, initial, config, truth=None):
+        if oracle.noise.t2 == 1.0:
+            raise ValueError("injected failure at t2 = 1")
+        return run(oracle, initial, config, truth=truth)
+
+    monkeypatch.setattr(scenarios, "rfpe_run", fail_at_second_point)
     cfg = _tiny(tmp_path, kind="t2_sweep", algorithm="rfpe", ensemble=2,
-                t2_grid=[2.0, 0.5])
+                t2_grid=[2.0, 1.0])
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from rfpe_lab.device import StatePrepSpec, phase_gate_instance
 from rfpe_lab.experiment import (DeviceOracle, SyntheticOracle,
                                  device_oracle_for_phase)
-from rfpe_lab.noise import NoiseConfig, Sampled, depolarize
+from rfpe_lab.noise import NoiseConfig, depolarize
 from rfpe_lab.phases import TWO_PI, ExperimentSetting, likelihood
 
 
@@ -72,7 +73,7 @@ def test_call_respects_strategy_shape():
                                   np.random.default_rng(57))
     assert len(one(ExperimentSetting(m=1, theta=0.0))) == 1
     four = device_oracle_for_phase(
-        truth, NoiseConfig(strategy=Sampled(n=4)), np.random.default_rng(58))
+        truth, NoiseConfig(strategy="sampled:4"), np.random.default_rng(58))
     out = four(ExperimentSetting(m=1, theta=0.0))
     assert len(out) == 4
     assert all(o in (0, 1) for o in out)
@@ -87,11 +88,10 @@ def test_call_outcome_statistics():
 
 
 def test_prep_excited_flag_selects_the_other_eigenstate():
-    truth = 2.5
+    unitary, _ = phase_gate_instance(2.5)
     # ground prep points at the eigenvalue-1 eigenvector: eigenphase 0
-    oracle = device_oracle_for_phase(truth, NoiseConfig(),
-                                     np.random.default_rng(60),
-                                     prep_excited=False)
+    oracle = DeviceOracle(unitary, StatePrepSpec(0.0, 0.0), NoiseConfig(),
+                          np.random.default_rng(60))
     for setting in _settings(np.random.default_rng(61), n=10):
         assert oracle.probability(setting) == pytest.approx(
             likelihood(0, 0.0, setting), abs=1e-9)

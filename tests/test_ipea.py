@@ -92,8 +92,8 @@ def test_shots_per_bit_pool_votes():
 def test_tie_breaks_with_fair_coin():
     decisions = []
     for seed in range(400):
-        est, records = ipea_run(lambda s: [0, 1], IpeaConfig(n_bits=1),
-                                rng=np.random.default_rng(seed))
+        est, records = ipea_run(lambda s: [0, 1],
+                                IpeaConfig(n_bits=1, rng_seed=seed))
         decisions.append(records[0].bit)
     assert 0.4 < np.mean(decisions) < 0.6
 

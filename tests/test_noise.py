@@ -4,33 +4,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfpe_lab.noise import (CountPair, MajorityVote, NoiseConfig, Sampled,
-                            SingleShot, depolarize, perturb_phases,
-                            reduce_outcome, sample_counts, strategy_from_name,
-                            strategy_name)
+from rfpe_lab.experiment import device_oracle_for_phase
+from rfpe_lab.noise import (CountPair, NoiseConfig, depolarize, perturb_phases,
+                            reduce_outcome, sample_counts)
+from rfpe_lab.phases import ExperimentSetting
+from rfpe_lab.scenarios import ConfigError, validate_config
 
 
 # ----------------------------------------------------------------- strategies
 
 
-def test_strategy_names_round_trip():
-    for name, cls in [("single_shot", SingleShot), ("majority_vote", MajorityVote),
-                      ("sampled", Sampled), ("sampled:5", Sampled)]:
-        s = strategy_from_name(name)
-        assert isinstance(s, cls)
-    assert strategy_from_name("sampled:5").n == 5
-    assert strategy_name(strategy_from_name("sampled:7")) == "sampled:7"
-    assert strategy_name(SingleShot()) == "single_shot"
-    assert strategy_name(MajorityVote()) == "majority_vote"
-    assert strategy_name(Sampled()) == "sampled:3"
+def _data_per_measurement(strategy: str) -> int:
+    noise = NoiseConfig(shots=20, strategy=strategy)
+    oracle = device_oracle_for_phase(1.3, noise, np.random.default_rng(0))
+    out = oracle(ExperimentSetting(m=3, theta=0.4))
+    assert all(o in (0, 1) for o in out)
+    return len(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=64))
+def test_strategy_names_give_their_data_counts(n):
+    assert _data_per_measurement(f"sampled:{n}") == n
+    assert _data_per_measurement("single_shot") == 1
+    assert _data_per_measurement("majority_vote") == 1
+    assert _data_per_measurement("sampled") == 3
 
 
 def test_strategy_validation():
+    for name in ("plurality", "sampled:0", "sampled:-1", "sampled:x"):
+        with pytest.raises(ValueError):
+            NoiseConfig(strategy=name)
+        text = ('{\n  "kind": "convergence",\n'
+                f'  "noise": {{"strategy": "{name}"}}\n}}\n')
+        with pytest.raises(ConfigError,
+                           match=r"^cfg\.json:3: noise\.strategy: "):
+            validate_config({"schema": "rfpe-lab/1", "kind": "convergence",
+                             "noise": {"strategy": name}},
+                            source="cfg.json", text=text)
     with pytest.raises(ValueError, match="unknown strategy"):
-        strategy_from_name("plurality")
-    with pytest.raises(ValueError):
-        Sampled(n=0)
+        NoiseConfig(strategy="plurality")
 
 
 # --------------------------------------------------------------------- config
@@ -139,20 +155,20 @@ def test_sample_counts_poissonian():
 
 def test_majority_vote_clear_cases():
     rng = np.random.default_rng(34)
-    assert reduce_outcome(CountPair(60, 40), MajorityVote(), rng) == [0]
-    assert reduce_outcome(CountPair(40, 60), MajorityVote(), rng) == [1]
+    assert reduce_outcome(CountPair(60, 40), "majority_vote", rng) == [0]
+    assert reduce_outcome(CountPair(40, 60), "majority_vote", rng) == [1]
 
 
 def test_majority_vote_tie_is_a_fair_coin():
     rng = np.random.default_rng(35)
-    outcomes = [reduce_outcome(CountPair(5, 5), MajorityVote(), rng)[0]
+    outcomes = [reduce_outcome(CountPair(5, 5), "majority_vote", rng)[0]
                 for _ in range(2000)]
     assert 0.45 < np.mean(outcomes) < 0.55
 
 
 def test_single_shot_samples_the_empirical_rate():
     rng = np.random.default_rng(36)
-    outs = [reduce_outcome(CountPair(30, 70), SingleShot(), rng)[0]
+    outs = [reduce_outcome(CountPair(30, 70), "single_shot", rng)[0]
             for _ in range(3000)]
     assert all(o in (0, 1) for o in outs)
     assert np.mean(outs) == pytest.approx(0.7, abs=0.03)
@@ -160,15 +176,15 @@ def test_single_shot_samples_the_empirical_rate():
 
 def test_sampled_returns_n_data():
     rng = np.random.default_rng(37)
-    out = reduce_outcome(CountPair(30, 70), Sampled(n=4), rng)
+    out = reduce_outcome(CountPair(30, 70), "sampled:4", rng)
     assert len(out) == 4
     assert all(o in (0, 1) for o in out)
-    rates = [np.mean(reduce_outcome(CountPair(90, 10), Sampled(n=3), rng))
+    rates = [np.mean(reduce_outcome(CountPair(90, 10), "sampled:3", rng))
              for _ in range(2000)]
     assert np.mean(rates) == pytest.approx(0.1, abs=0.02)
 
 
 def test_deterministic_extremes():
     rng = np.random.default_rng(38)
-    assert reduce_outcome(CountPair(10, 0), SingleShot(), rng) == [0]
-    assert reduce_outcome(CountPair(0, 10), Sampled(n=5), rng) == [1] * 5
+    assert reduce_outcome(CountPair(10, 0), "single_shot", rng) == [0]
+    assert reduce_outcome(CountPair(0, 10), "sampled:5", rng) == [1] * 5

@@ -8,7 +8,7 @@ import pytest
 import rfpe_lab.rfpe as rfpe_mod
 from rfpe_lab.experiment import SyntheticOracle
 from rfpe_lab.noise import NoiseConfig
-from rfpe_lab.phases import TWO_PI, ExperimentSetting, circular_distance, likelihood
+from rfpe_lab.phases import TWO_PI, ExperimentSetting, circular_distance
 from rfpe_lab.rfpe import (DegenerateUpdateError, GaussianBelief, RfpeConfig,
                            UpdateFailure, acceptance_probability,
                            grid_posterior, particle_guess,

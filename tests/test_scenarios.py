@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from rfpe_lab import scenarios
 from rfpe_lab.scenarios import (KCAL_PER_HARTREE, KINDS, OUT_DIR_ENV,
                                 ConfigError, load_config,
                                 load_molecular_table, run_scenario,
@@ -90,6 +91,20 @@ def test_cross_checks():
                          "kind": "strategy_comparison",
                          "strategies": ["single_shot", "sampled:3",
                                         "single_shot"]})
+    # m is capped at T2 gate applications, so a cap below 1 leaves no m
+    text = '{\n  "kind": "convergence",\n  "rfpe": {\n    "t2_cap": 0.5\n  }\n}\n'
+    with pytest.raises(ConfigError, match=r"^cfg\.json:4: rfpe\.t2_cap: a T2 "
+                                          r"cap below one gate time"):
+        validate_config({"schema": "rfpe-lab/1", "kind": "convergence",
+                         "rfpe": {"t2_cap": 0.5}}, source="cfg.json", text=text)
+    for kind in ("t2_sweep", "t2_convergence"):
+        with pytest.raises(ConfigError, match=r"^<config>:1: t2_grid\[2\]: "
+                                              r"cap_pgh caps m"):
+            validate_config({"schema": "rfpe-lab/1", "kind": kind,
+                             "t2_grid": [4.0, 2.0, 0.5]})
+        # without the cap a short T2 only damps the fringe
+        validate_config({"schema": "rfpe-lab/1", "kind": kind,
+                         "t2_grid": [4.0, 2.0, 0.5], "cap_pgh": False})
 
 
 def test_load_config_anchors_lines(tmp_path):
@@ -333,16 +348,24 @@ def test_molecular_scan_missing_table_is_config_error(tmp_path):
     assert list(out.iterdir()) == []
 
 
-def test_mid_run_failure_flushes_and_marks_incomplete(tmp_path):
+def test_mid_run_failure_flushes_and_marks_incomplete(tmp_path, monkeypatch):
+    run = scenarios.rfpe_run
+
+    def fail_at_third_point(oracle, initial, config, truth=None):
+        if oracle.noise.t2 == 1.0:
+            raise ValueError("injected failure at t2 = 1")
+        return run(oracle, initial, config, truth=truth)
+
+    monkeypatch.setattr(scenarios, "rfpe_run", fail_at_third_point)
     for algorithm, outputs in [("rfpe", ["part_rfpe.csv"]),
                                ("both", ["part_rfpe.csv", "part_ipea.csv"])]:
         out = tmp_path / algorithm
         cfg = {"schema": "rfpe-lab/1", "kind": "t2_sweep", "label": "part",
                "algorithm": algorithm, "ensemble": 2,
-               "t2_grid": [4.0, 2.0, 0.5], "noise": {"shots": 30},
+               "t2_grid": [4.0, 2.0, 1.0], "noise": {"shots": 30},
                "rfpe": {"n_steps": 4, "n_particles": 100},
                "ipea": {"n_bits": 4, "repetitions": 2}}
-        with pytest.raises(ValueError, match="below one gate time"):
+        with pytest.raises(ValueError, match="injected failure"):
             run_scenario_config(cfg, out_dir=out)
         manifest = json.loads((out / "part_manifest.json").read_text())
         assert manifest["complete"] is False
