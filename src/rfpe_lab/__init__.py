@@ -16,7 +16,7 @@ from .device import (CircuitInstance, FidelityPoint, NonUnitaryError,
                      compose_power, eigenstate_prep, euler_angles,
                      fidelity_vs_noise, phase_gate_instance,
                      probability_from_phases, simulate_probability)
-from .experiment import DeviceOracle, SyntheticOracle, device_oracle_for_phase
+from .experiment import DeviceOracle, device_oracle_for_phase
 from .ipea import BitRecord, IpeaConfig, ipea_run, theta_feedback
 from .noise import (CountPair, NoiseConfig, depolarize, perturb_phases,
                     readouts, reduce_outcome, sample_counts)

@@ -1,12 +1,11 @@
-"""Experiment oracles: callables mapping a setting to measured outcomes.
+"""The experiment oracle: a callable mapping a setting to measured outcomes.
 
 DeviceOracle runs the full physical pipeline per measurement: draw
 phase jitter on the seven shifter angles, evaluate the circuit
 probability, apply the depolarizing transform, sample shot counts, and
-reduce them with the configured strategy. SyntheticOracle skips the
-device and samples straight from the analytic fringe; it supports the
-count-level noise knobs only and exists as an independent cross-check
-and a fast path for shot-statistics studies.
+reduce them with the configured strategy into a list of outcomes. It is
+the one oracle both estimators read; noiselessly its outcome-0
+probability is the shared fringe `phases.likelihood`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from .device import (StatePrepSpec, UnitarySpec, compose_power, euler_angles,
                      phase_gate_instance, probability_from_phases)
 from .noise import NoiseConfig, depolarize, perturb_phases, reduce_outcome, sample_counts
-from .phases import ExperimentSetting, likelihood
+from .phases import ExperimentSetting
 
 
 class DeviceOracle:
@@ -52,32 +51,6 @@ class DeviceOracle:
             phases = perturb_phases(phases, self.noise.sigma_phase, self.rng)
         p = probability_from_phases(phases)
         if noisy and self.noise.t2 is not None:
-            p = depolarize(p, setting.m, self.noise.t2)
-        return p
-
-    def __call__(self, setting: ExperimentSetting) -> list[int]:
-        p = self.probability(setting)
-        counts = sample_counts(p, self.noise.shots, self.noise.poissonian, self.rng)
-        return reduce_outcome(counts, self.noise.strategy, self.rng)
-
-
-class SyntheticOracle:
-    """Samples the analytic fringe directly; no phase-level model.
-
-    Rejects sigma_phase > 0 because jitter on individual shifters has
-    no counterpart in the bare likelihood; use DeviceOracle for that.
-    """
-
-    def __init__(self, truth: float, noise: NoiseConfig, rng: np.random.Generator):
-        if noise.sigma_phase > 0.0:
-            raise ValueError("SyntheticOracle cannot model phase-shifter noise")
-        self.truth = truth
-        self.noise = noise
-        self.rng = rng
-
-    def probability(self, setting: ExperimentSetting) -> float:
-        p = likelihood(0, self.truth, setting)
-        if self.noise.t2 is not None:
             p = depolarize(p, setting.m, self.noise.t2)
         return p
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .noise import majority
 from .phases import TWO_PI, ExperimentSetting, Oracle, wrap_phase
 
 
@@ -75,23 +76,15 @@ def ipea_run(oracle: Oracle, config: IpeaConfig) -> tuple[float, list[BitRecord]
         m = 2 ** (n - j)
         omega = theta_feedback(bits)
         setting = ExperimentSetting(m=m, theta=wrap_phase(omega / m))
-        n1 = 0
-        total = 0
+        n1 = total = 0
         for _ in range(config.shots_per_bit):
-            result = oracle(setting)
-            outcomes = [result] if isinstance(result, (int, np.integer)) else list(result)
-            for e in outcomes:
+            for e in oracle(setting):
                 if e not in (0, 1):
                     raise ValueError(f"oracle outcome must be 0 or 1, got {e!r}")
                 n1 += e
                 total += 1
         n0 = total - n1
-        if n1 > n0:
-            bit = 1
-        elif n0 > n1:
-            bit = 0
-        else:
-            bit = int(rng.integers(0, 2))
+        bit = majority(n0, n1, rng)
         bits.insert(0, bit)
         records.append(BitRecord(k=n - j + 1, m=m, theta=setting.theta,
                                  n0=n0, n1=n1, bit=bit))

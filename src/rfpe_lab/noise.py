@@ -123,6 +123,15 @@ def sample_counts(p: float, shots: int, poissonian: bool,
             return CountPair(n0=n0, n1=n1)
 
 
+def majority(n0: int, n1: int, rng: np.random.Generator) -> int:
+    """The more frequent outcome; only a tie draws (one fair coin) from rng."""
+    if n0 > n1:
+        return 0
+    if n1 > n0:
+        return 1
+    return int(rng.integers(0, 2))
+
+
 def reduce_outcome(counts: CountPair, strategy: str,
                    rng: np.random.Generator) -> list[int]:
     """Collapse a count pair into the binary data fed to the estimator.
@@ -131,10 +140,6 @@ def reduce_outcome(counts: CountPair, strategy: str,
     the same experiment setting.
     """
     if strategy == "majority_vote":
-        if counts.n0 > counts.n1:
-            return [0]
-        if counts.n1 > counts.n0:
-            return [1]
-        return [int(rng.integers(0, 2))]
+        return [majority(counts.n0, counts.n1, rng)]
     p0 = counts.n0 / counts.total
     return [int(v) for v in (rng.random(readouts(strategy)) >= p0).astype(int)]

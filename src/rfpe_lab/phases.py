@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,18 +49,24 @@ class ExperimentSetting:
         object.__setattr__(self, "theta", wrap_phase(self.theta))
 
 
-# An experiment: a setting in, one outcome or a sequence of them out.
-Oracle = Callable[[ExperimentSetting], Union[int, Sequence[int]]]
+# An experiment: a setting in, the sequence of its outcomes out.
+Oracle = Callable[[ExperimentSetting], Sequence[int]]
 
 
-def likelihood(outcome: int, phi: float, setting: ExperimentSetting) -> float:
-    """Probability of `outcome` given eigenphase phi under `setting`.
+def fringe(outcome: int, x, m, theta):
+    """Probability of `outcome` at eigenphase x, a float or an array.
 
-    P(0) = cos^2(m (phi - theta) / 2) and P(1) is its complement, the
-    interference fringe of a single-ancilla controlled-U^m circuit.
+    P(0) = cos^2(m (x - theta) / 2) and P(1) is its complement, the
+    interference fringe of a single-ancilla controlled-U^m circuit with
+    feedback phase theta.
     """
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    c = math.cos(0.5 * setting.m * (phi - setting.theta))
+    c = np.cos(0.5 * m * (x - theta))
     p0 = c * c
     return p0 if outcome == 0 else 1.0 - p0
+
+
+def likelihood(outcome: int, phi: float, setting: ExperimentSetting) -> float:
+    """The fringe at eigenphase phi under `setting`."""
+    return float(fringe(outcome, phi, setting.m, setting.theta))

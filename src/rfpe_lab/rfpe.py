@@ -2,8 +2,8 @@
 
 The belief over the eigenphase is a single Gaussian N(mu, sigma^2),
 understood modulo 2*pi. Each update draws particles from the prior,
-keeps those that survive a rejection test against the outcome
-likelihood, and refits a Gaussian to the survivors. Statistics are
+keeps those that survive a rejection test against the outcome fringe
+(`phases.fringe`), and refits a Gaussian to the survivors. Statistics are
 computed both in the original frame and in a frame shifted by pi, and
 the frame with the smaller sample variance wins; that makes the refit
 robust to posteriors straddling the 0/2*pi seam.
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .phases import (TWO_PI, ExperimentSetting, Oracle, circular_distance,
-                     wrap_phase)
+                     fringe, wrap_phase)
 
 # Smallest admissible belief width; a refit collapsing below this is clamped.
 SIGMA_FLOOR = 1e-15
@@ -133,8 +133,6 @@ def rejection_update(outcome: int, belief: GaussianBelief, setting: ExperimentSe
     Raises UpdateFailure if fewer than two particles survive; the caller
     decides the retry policy.
     """
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     x = rng.normal(belief.mu, belief.sigma, config.n_particles)
     u = rng.uniform(0.0, 1.0, config.n_particles)
     n_acc, s1, s2, s1p, s2p = kernels.rejection_accumulate(
@@ -161,9 +159,7 @@ def grid_posterior(outcome: int, belief: GaussianBelief, setting: ExperimentSett
     ks = np.arange(-n_wraps, n_wraps + 1)
     expo = -0.5 * ((x[None, :] - belief.mu + TWO_PI * ks[:, None]) / belief.sigma) ** 2
     prior = np.exp(expo - expo.max()).sum(axis=0)
-    p0 = np.cos(0.5 * setting.m * (x - setting.theta)) ** 2
-    lik = p0 if outcome == 0 else 1.0 - p0
-    w = prior * lik
+    w = prior * fringe(outcome, x, setting.m, setting.theta)
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateUpdateError("posterior carries no numerical mass on the grid")
@@ -199,7 +195,7 @@ def rfpe_run(oracle: Oracle, initial: GaussianBelief, config: RfpeConfig,
              truth: Optional[float] = None) -> list[InferenceTraceRow]:
     """Adaptive estimation loop: choose experiment, query oracle, update.
 
-    The oracle may return a single outcome or a sequence (a multi-sample
+    The oracle returns a sequence of outcomes (one per datum of its
     readout strategy); each outcome feeds one sequential update at the
     same setting. One trace row is recorded per step, carrying the last
     outcome consumed and the end-of-step posterior.
@@ -212,8 +208,7 @@ def rfpe_run(oracle: Oracle, initial: GaussianBelief, config: RfpeConfig,
             setting = particle_guess_capped(belief, rng, config.t2_cap)
         else:
             setting = particle_guess(belief, rng)
-        result = oracle(setting)
-        outcomes = [result] if isinstance(result, (int, np.integer)) else list(result)
+        outcomes = list(oracle(setting))
         if not outcomes:
             raise ValueError("oracle returned no outcomes")
         for outcome in outcomes:

@@ -669,12 +669,15 @@ def _run_phase_noise_sweep(cfg, ctx):
     _sweep(cfg, ctx, "sigma_phase", "sigma_grid", point)
 
 
-def _run_t2_sweep(cfg, ctx):
-    def point(t2):
-        noise_d = dict(cfg["noise"], t2=t2)
-        return noise_d, {"t2_cap": t2} if cfg["cap_pgh"] else None, noise_d
+def _t2_point(cfg, t2):
+    """RFPE noise, RFPE overrides and IPEA noise at one T2 grid value."""
+    noise_d = dict(cfg["noise"], t2=t2)
+    return noise_d, {"t2_cap": t2} if cfg["cap_pgh"] else None, noise_d
 
-    for algo, meds in _sweep(cfg, ctx, "t2", "t2_grid", point).items():
+
+def _run_t2_sweep(cfg, ctx):
+    medians = _sweep(cfg, ctx, "t2", "t2_grid", lambda t2: _t2_point(cfg, t2))
+    for algo, meds in medians.items():
         ctx.summary[f"{algo}_max_adjacent_ratio"] = _max_adjacent_ratio(meds)
 
 
@@ -682,8 +685,7 @@ def _run_t2_convergence(cfg, ctx):
     label = cfg["label"]
     knees = []
     for gi, t2 in enumerate(cfg["t2_grid"]):
-        noise_d = dict(cfg["noise"], t2=t2)
-        over = {"t2_cap": t2} if cfg["cap_pgh"] else None
+        noise_d, over, _ = _t2_point(cfg, t2)
         rows = _rfpe_step_rows(_results(cfg, ctx, "rfpe", noise_d, gi,
                                         rfpe_over=over))
         ctx.write_csv(f"{label}_t2_{_num_slug(t2)}.csv",

@@ -1,11 +1,10 @@
-"""Oracles: the simulated chip versus the bare analytic fringe."""
+"""The device oracle: the simulated chip versus the bare analytic fringe."""
 
 import numpy as np
 import pytest
 
 from rfpe_lab.device import StatePrepSpec, phase_gate_instance
-from rfpe_lab.experiment import (DeviceOracle, SyntheticOracle,
-                                 device_oracle_for_phase)
+from rfpe_lab.experiment import DeviceOracle, device_oracle_for_phase
 from rfpe_lab.noise import NoiseConfig, depolarize
 from rfpe_lab.phases import TWO_PI, ExperimentSetting, likelihood
 
@@ -20,10 +19,9 @@ def test_device_matches_analytic_fringe_noiselessly():
     truth = 4.8741
     rng = np.random.default_rng(51)
     device = device_oracle_for_phase(truth, NoiseConfig(), rng)
-    synthetic = SyntheticOracle(truth, NoiseConfig(), rng)
     for setting in _settings(np.random.default_rng(52)):
         assert device.probability(setting) == pytest.approx(
-            synthetic.probability(setting), abs=1e-9)
+            likelihood(0, truth, setting), abs=1e-9)
 
 
 def test_device_t2_equals_depolarized_noiseless():
@@ -46,12 +44,6 @@ def test_device_phase_noise_perturbs_only_noisy_path():
     draws = {device.probability(setting) for _ in range(8)}
     assert len(draws) > 1  # jitter resampled per programming
     assert all(0.0 <= p <= 1.0 for p in draws)
-
-
-def test_synthetic_oracle_rejects_phase_noise():
-    with pytest.raises(ValueError, match="phase-shifter noise"):
-        SyntheticOracle(1.0, NoiseConfig(sigma_phase=0.1),
-                        np.random.default_rng(0))
 
 
 def test_composite_euler_cache_reused():

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from rfpe_lab.experiment import SyntheticOracle, device_oracle_for_phase
+from rfpe_lab.experiment import device_oracle_for_phase
 from rfpe_lab.ipea import IpeaConfig, ipea_run, theta_feedback
 from rfpe_lab.noise import NoiseConfig
-from rfpe_lab.phases import TWO_PI, circular_distance, wrap_phase
+from rfpe_lab.phases import TWO_PI, circular_distance, likelihood, wrap_phase
 
 
 def _oracle(truth, seed=0, shots=2000):
-    return SyntheticOracle(truth, NoiseConfig(shots=shots),
-                           np.random.default_rng(seed))
+    return device_oracle_for_phase(truth, NoiseConfig(shots=shots),
+                                   np.random.default_rng(seed))
 
 
 def test_config_validation():
@@ -66,11 +66,11 @@ def test_quantisation_floor_8_and_16_bits():
 
 
 def test_device_oracle_agrees_with_synthetic_ladder():
+    # the synthetic ladder votes on the analytic fringe with no shot noise
     truth = 4.8741
-    device = device_oracle_for_phase(truth, NoiseConfig(),
-                                     np.random.default_rng(3))
-    est, _ = ipea_run(device, IpeaConfig(n_bits=12))
-    synth, _ = ipea_run(_oracle(truth, seed=3), IpeaConfig(n_bits=12))
+    est, _ = ipea_run(_oracle(truth, seed=3), IpeaConfig(n_bits=12))
+    synth, _ = ipea_run(lambda s: [int(likelihood(1, truth, s) > 0.5)],
+                        IpeaConfig(n_bits=12))
     assert est == pytest.approx(synth, abs=1e-12)
 
 
@@ -101,3 +101,6 @@ def test_tie_breaks_with_fair_coin():
 def test_invalid_outcome_rejected():
     with pytest.raises(ValueError, match="outcome must be 0 or 1"):
         ipea_run(lambda s: [2], IpeaConfig(n_bits=1))
+    # an oracle returns a sequence of outcomes, never a bare int
+    with pytest.raises(TypeError):
+        ipea_run(lambda s: 1, IpeaConfig(n_bits=1))

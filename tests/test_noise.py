@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfpe_lab.experiment import device_oracle_for_phase
-from rfpe_lab.noise import (CountPair, NoiseConfig, depolarize, perturb_phases,
-                            reduce_outcome, sample_counts)
+from rfpe_lab.noise import (CountPair, NoiseConfig, depolarize, majority,
+                            perturb_phases, reduce_outcome, sample_counts)
 from rfpe_lab.phases import ExperimentSetting
 from rfpe_lab.scenarios import ConfigError, validate_config
 
@@ -164,6 +164,19 @@ def test_majority_vote_tie_is_a_fair_coin():
     outcomes = [reduce_outcome(CountPair(5, 5), "majority_vote", rng)[0]
                 for _ in range(2000)]
     assert 0.45 < np.mean(outcomes) < 0.55
+
+
+@settings(max_examples=60, deadline=None)
+@given(n0=st.integers(0, 50), n1=st.integers(0, 50), seed=st.integers(0, 2**32))
+def test_majority_draws_one_coin_only_on_a_tie(n0, n1, seed):
+    rng = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    bit = majority(n0, n1, rng)
+    if n0 == n1:
+        assert bit == int(twin.integers(0, 2))
+    else:
+        assert bit == int(n1 > n0)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_single_shot_samples_the_empirical_rate():

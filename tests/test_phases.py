@@ -1,12 +1,14 @@
-"""Angle arithmetic and the single-experiment likelihood."""
+"""Angle arithmetic and the single-experiment fringe."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfpe_lab.phases import (TWO_PI, ExperimentSetting, circular_distance,
-                             likelihood, wrap_phase)
+                             fringe, likelihood, wrap_phase)
 
 
 def test_wrap_phase_spot_values():
@@ -77,3 +79,20 @@ def test_likelihood_outcome_validation():
     s = ExperimentSetting(m=1, theta=0.0)
     with pytest.raises(ValueError):
         likelihood(2, 0.0, s)
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        fringe(2, np.linspace(0.0, TWO_PI, 7), 3, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40),
+       m=st.integers(1, 1_000_000), theta=st.floats(0.0, TWO_PI))
+def test_fringe_on_arrays_is_the_scalar_likelihood(xs, m, theta):
+    setting = ExperimentSetting(m=m, theta=theta)
+    x = np.array(xs)
+    p0 = fringe(0, x, m, setting.theta)
+    p1 = fringe(1, x, m, setting.theta)
+    for outcome, p in ((0, p0), (1, p1)):
+        want = [likelihood(outcome, v, setting) for v in xs]
+        assert p.tolist() == want  # bit for bit
+        assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.all(np.abs(p0 + p1 - 1.0) <= 2.0 ** -52)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rfpe_lab.rfpe as rfpe_mod
-from rfpe_lab.experiment import SyntheticOracle
+from rfpe_lab.experiment import device_oracle_for_phase
 from rfpe_lab.noise import NoiseConfig
 from rfpe_lab.phases import TWO_PI, ExperimentSetting, circular_distance
 from rfpe_lab.rfpe import (DegenerateUpdateError, GaussianBelief, RfpeConfig,
@@ -181,8 +181,8 @@ def test_dual_frame_refit_near_seam():
 
 
 def _noiseless_oracle(truth, seed=0, shots=2000):
-    return SyntheticOracle(truth, NoiseConfig(shots=shots),
-                           np.random.default_rng(seed))
+    return device_oracle_for_phase(truth, NoiseConfig(shots=shots),
+                                   np.random.default_rng(seed))
 
 
 def test_rfpe_run_converges_noiseless():
@@ -231,6 +231,12 @@ def test_rfpe_run_without_truth_and_zero_steps():
 def test_rfpe_run_rejects_empty_oracle():
     with pytest.raises(ValueError, match="no outcomes"):
         rfpe_run(lambda setting: [], GaussianBelief(math.pi, math.pi),
+                 RfpeConfig(n_steps=1, rng_seed=0))
+
+
+def test_rfpe_run_rejects_a_bare_int_outcome():
+    with pytest.raises(TypeError):
+        rfpe_run(lambda setting: 0, GaussianBelief(math.pi, math.pi),
                  RfpeConfig(n_steps=1, rng_seed=0))
 
 
