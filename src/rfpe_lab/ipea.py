@@ -18,20 +18,22 @@ from typing import Sequence
 import numpy as np
 
 from .noise import majority
-from .phases import TWO_PI, ExperimentSetting, Oracle, wrap_phase
+from .phases import TWO_PI, ExperimentSetting, FieldError, Oracle, wrap_phase
 
 
 @dataclass(frozen=True)
 class IpeaConfig:
+    """IPEA knobs; `__post_init__` bounds a scenario's `ipea` object too."""
+
     n_bits: int = 16
     shots_per_bit: int = 1
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_bits < 1:
-            raise ValueError(f"n_bits must be at least 1, got {self.n_bits}")
-        if self.shots_per_bit < 1:
-            raise ValueError(f"shots_per_bit must be at least 1, got {self.shots_per_bit}")
+        if not (self.n_bits >= 1):
+            raise FieldError("n_bits", f"must be >= 1, got {self.n_bits}")
+        if not (self.shots_per_bit >= 1):
+            raise FieldError("shots_per_bit", f"must be >= 1, got {self.shots_per_bit}")
 
 
 @dataclass(frozen=True)

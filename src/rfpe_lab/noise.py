@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .phases import FieldError
+
 
 def readouts(strategy: str) -> int:
     """Number of binary data one measurement yields under a readout strategy.
@@ -30,7 +32,11 @@ def readouts(strategy: str) -> int:
     if strategy == "sampled":
         return 3
     if strategy.startswith("sampled:"):
-        n = int(strategy.split(":", 1)[1])
+        try:
+            n = int(strategy.split(":", 1)[1])
+        except ValueError:
+            raise ValueError("sampled strategy needs an integer n, got "
+                             f"{strategy!r}") from None
         if n < 1:
             raise ValueError(f"sampled strategy needs n >= 1, got {n}")
         return n
@@ -44,7 +50,8 @@ class NoiseConfig:
     t2 is in units of the per-controlled-gate time, so the depolarizing
     weight after m repetitions is 1 - exp(-m/t2). t2=None disables
     decoherence entirely. strategy is a readout-strategy name that
-    `readouts` accepts.
+    `readouts` accepts. `__post_init__` bounds a scenario's `noise`
+    object too.
     """
 
     sigma_phase: float = 0.0
@@ -54,13 +61,16 @@ class NoiseConfig:
     poissonian: bool = False
 
     def __post_init__(self):
-        readouts(self.strategy)
-        if self.sigma_phase < 0.0:
-            raise ValueError(f"sigma_phase must be non-negative, got {self.sigma_phase}")
+        if not (self.sigma_phase >= 0.0):
+            raise FieldError("sigma_phase", f"must be >= 0.0, got {self.sigma_phase}")
         if self.t2 is not None and not (self.t2 > 0.0):
-            raise ValueError(f"t2 must be positive when set, got {self.t2}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be at least 1, got {self.shots}")
+            raise FieldError("t2", f"must be > 0.0, got {self.t2}")
+        if not (self.shots >= 1):
+            raise FieldError("shots", f"must be >= 1, got {self.shots}")
+        try:
+            readouts(self.strategy)
+        except ValueError as exc:
+            raise FieldError("strategy", str(exc)) from None
 
 
 @dataclass(frozen=True)

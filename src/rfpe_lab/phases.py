@@ -17,6 +17,13 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+class FieldError(ValueError):
+    """A config field out of bounds: args (field, reason), read 'field: reason'."""
+
+    def __str__(self):
+        return "%s: %s" % self.args
+
+
 def wrap_phase(x: float) -> float:
     """Reduce x modulo 2*pi into [0, 2*pi)."""
     x = math.fmod(x, TWO_PI)

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .phases import (TWO_PI, ExperimentSetting, Oracle, circular_distance,
-                     fringe, wrap_phase)
+from .phases import (TWO_PI, ExperimentSetting, FieldError, Oracle,
+                     circular_distance, fringe, wrap_phase)
 
 # Smallest admissible belief width; a refit collapsing below this is clamped.
 SIGMA_FLOOR = 1e-15
@@ -43,14 +43,16 @@ class DegenerateUpdateError(RuntimeError):
 
 @dataclass(frozen=True)
 class GaussianBelief:
+    """Belief N(mu, sigma^2) mod 2*pi; `__post_init__` bounds a `prior` too."""
+
     mu: float
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
+            raise FieldError("mu", f"must be finite, got {self.mu}")
+        if not (0.0 < self.sigma < math.inf):
+            raise FieldError("sigma", f"must be finite and > 0.0, got {self.sigma}")
         object.__setattr__(self, "mu", wrap_phase(self.mu))
 
 
@@ -61,7 +63,8 @@ class RfpeConfig:
     kappa_e is the rejection-test scale (an upper bound on the outcome
     likelihood; 1.0 is always safe for a two-outcome fringe).
     t2_cap, when set, limits m to floor(t2) so experiments stay inside
-    the coherence window.
+    the coherence window. `__post_init__` bounds a scenario's `rfpe`
+    object too.
     """
 
     n_particles: int = 1000
@@ -71,12 +74,15 @@ class RfpeConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be at least 2")
+        if not (self.n_particles >= 2):
+            raise FieldError("n_particles", f"must be >= 2, got {self.n_particles}")
+        if not (self.n_steps >= 0):
+            raise FieldError("n_steps", f"must be >= 0, got {self.n_steps}")
         if not (0.0 < self.kappa_e <= 1.0):
-            raise ValueError("kappa_e must lie in (0, 1]")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be non-negative")
+            raise FieldError("kappa_e", f"must lie in (0, 1], got {self.kappa_e}")
+        if self.t2_cap is not None and not (self.t2_cap >= 1.0):
+            raise FieldError("t2_cap", "a T2 cap below one gate time is unusable, "
+                             f"got {self.t2_cap}")
 
 
 @dataclass(frozen=True)

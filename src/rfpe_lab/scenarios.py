@@ -23,7 +23,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -37,7 +38,7 @@ from .device import fidelity_vs_noise, phase_gate_instance
 from .experiment import device_oracle_for_phase
 from .ipea import IpeaConfig, ipea_run
 from .noise import NoiseConfig, readouts
-from .phases import TWO_PI, circular_distance, wrap_phase
+from .phases import TWO_PI, FieldError, circular_distance, wrap_phase
 from .rfpe import GaussianBelief, RfpeConfig, rfpe_run
 from .svgplot import Layer, PlotSpec, emit_plot
 
@@ -89,13 +90,11 @@ def _as_bool(chk, path, v):
     return v
 
 
-def _as_int(chk, path, v, lo=None, hi=None):
+def _as_int(chk, path, v, lo=None):
     if isinstance(v, bool) or not isinstance(v, int):
         chk.fail(path, f"expected an integer, got {v!r}")
     if lo is not None and v < lo:
         chk.fail(path, f"must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        chk.fail(path, f"must be <= {hi}, got {v}")
     return v
 
 
@@ -120,12 +119,10 @@ def _as_str(chk, path, v, choices=None):
     return v
 
 
-def _as_grid(chk, path, v, lo=None, lo_open=False, hi=None, hi_open=False):
+def _as_list(chk, path, v, item=_as_num, what="numbers", **bounds):
     if not isinstance(v, list) or not v:
-        chk.fail(path, f"expected a non-empty list of numbers, got {v!r}")
-    return [_as_num(chk, f"{path}[{i}]", x, lo=lo, hi=hi,
-                    lo_open=lo_open, hi_open=hi_open)
-            for i, x in enumerate(v)]
+        chk.fail(path, f"expected a non-empty list of {what}, got {v!r}")
+    return [item(chk, f"{path}[{i}]", x, **bounds) for i, x in enumerate(v)]
 
 
 def _as_strategy(chk, path, v):
@@ -142,15 +139,9 @@ def _optional(fn):
     return lambda c, p, v: None if v is None else fn(c, p, v)
 
 
-def _as_t2(chk, path, v):
-    return _as_num(chk, path, v, lo=0.0, lo_open=True)
-
-
-def _as_t2_cap(chk, path, v):
-    cap = _as_num(chk, path, v)
-    if cap < 1.0:
-        chk.fail(path, f"a T2 cap below one gate time is unusable, got {cap}")
-    return cap
+def _key(fn, default, **options):
+    """Field pair: the validator `fn` with `options`, and the default."""
+    return (lambda c, p, v: fn(c, p, v, **options), default)
 
 
 def _as_label(chk, path, v):
@@ -182,83 +173,72 @@ def _check_mapping(chk, path, value, spec):
     return out
 
 
-# The noise and rfpe keys are the fields of NoiseConfig and RfpeConfig,
-# which `_results` builds from them.
-_NOISE_SPEC = {
-    "sigma_phase": (lambda c, p, v: _as_num(c, p, v, lo=0.0), 0.0),
-    "t2": (_optional(_as_t2), None),
-    "shots": (lambda c, p, v: _as_int(c, p, v, lo=1), 2000),
-    "strategy": (_as_strategy, "majority_vote"),
-    "poissonian": (_as_bool, False),
-}
+def _sub(spec_dict, build=lambda values: None):
+    """Field pair for a nested object; `build(values)` may raise FieldError."""
+    def check(chk, path, value):
+        out = _check_mapping(chk, path, value, spec_dict)
+        try:
+            build(out)
+        except FieldError as exc:
+            chk.fail(_join(path, exc.args[0]), exc.args[1])
+        return out
+    return check, check(_Checker("<defaults>", None), "", {})
 
 
-def _rfpe_spec(n_steps):
-    return {
-        "n_particles": (lambda c, p, v: _as_int(c, p, v, lo=2), 1000),
-        "n_steps": (lambda c, p, v: _as_int(c, p, v, lo=1), n_steps),
-        "kappa_e": (lambda c, p, v: _as_num(c, p, v, lo=0.0, hi=1.0,
-                                            lo_open=True), 1.0),
-        "t2_cap": (_optional(_as_t2_cap), None),
-    }
+# the JSON type check of each config-field annotation
+_BY_ANNOTATION = {"int": _as_int, "float": _as_num, "bool": _as_bool,
+                  "str": _as_str, "Optional[float]": _optional(_as_num)}
 
 
-_IPEA_SPEC = {
-    "n_bits": (lambda c, p, v: _as_int(c, p, v, lo=1), 16),
-    "shots_per_bit": (lambda c, p, v: _as_int(c, p, v, lo=1), 1),
-    "repetitions": (lambda c, p, v: _as_int(c, p, v, lo=1), 10),
-}
+def _config(cls, **study):
+    """Field pair for an object keyed by the fields of `cls` but rng_seed.
 
-_PRIOR_SPEC = {
-    "mu": (_as_num, math.pi),
-    "sigma": (lambda c, p, v: _as_num(c, p, v, lo=0.0, lo_open=True), math.pi),
-}
+    Keys take the field defaults, the JSON types of the annotations and,
+    as the values build one `cls`, its bounds; `study` adds or replaces
+    keys. The config keeps the user's values, not the built instance's.
+    """
+    own = [f for f in fields(cls) if f.name != "rng_seed"]
+    spec = {f.name: (_BY_ANNOTATION[f.type], f.default) for f in own} | study
+    return _sub(spec, lambda out: cls(**{f.name: out[f.name] for f in own}))
+
 
 _FRINGE_SPEC = {
     "b": (_as_num, 0.55),
-    "a": (lambda c, p, v: _as_num(c, p, v, lo=0.0, lo_open=True), 0.45),
-    "t": (lambda c, p, v: _as_num(c, p, v, lo=0.0, lo_open=True), 75.0),
+    "a": _key(_as_num, 0.45, lo=0.0, lo_open=True),
+    "t": _key(_as_num, 75.0, lo=0.0, lo_open=True),
     "p_phi": (_as_num, 42.5),
-    "sigma_op": (lambda c, p, v: _as_num(c, p, v, lo=0.0), 0.02),
-    "n_points": (lambda c, p, v: _as_int(c, p, v, lo=8), 40),
-    "p_min": (lambda c, p, v: _as_num(c, p, v, lo=0.0), 5.0),
-    "p_max": (lambda c, p, v: _as_num(c, p, v, lo=0.0, lo_open=True), 80.0),
+    "sigma_op": _key(_as_num, 0.02, lo=0.0),
+    "n_points": _key(_as_int, 40, lo=8),
+    "p_min": _key(_as_num, 5.0, lo=0.0),
+    "p_max": _key(_as_num, 80.0, lo=0.0, lo_open=True),
 }
 
 _DEFAULT_SIGMA_GRID = [round(0.05 * i, 2) for i in range(12)]
-_DEFAULT_T2_GRID = [float(2 ** i) for i in range(9)]
-
-
-def _as_strategies(chk, path, v):
-    if not isinstance(v, list) or not v:
-        chk.fail(path, f"expected a non-empty list of strategy names, got {v!r}")
-    return [_as_strategy(chk, f"{path}[{i}]", name) for i, name in enumerate(v)]
 
 
 def _common_spec(kind):
     return {
-        "schema": (lambda c, p, v: _as_str(c, p, v, {SCHEMA_VERSION}),
-                   SCHEMA_VERSION),
-        "kind": (lambda c, p, v: _as_str(c, p, v, set(KINDS)), kind),
-        "rng_seed": (lambda c, p, v: _as_int(c, p, v, lo=0), 0),
+        "schema": _key(_as_str, SCHEMA_VERSION, choices={SCHEMA_VERSION}),
+        "kind": _key(_as_str, kind, choices=set(KINDS)),
+        "rng_seed": _key(_as_int, 0, lo=0),
         "label": (_as_label, kind),
         "out_dir": (_optional(_as_str), None),
     }
 
 
-_ALGORITHM = (lambda c, p, v: _as_str(c, p, v, {"rfpe", "ipea", "both"}),
-              "both")
+_ALGORITHM = _key(_as_str, "both", choices={"rfpe", "ipea", "both"})
 _TRUTH = (_as_num, 4.8741)
+_count = partial(_key, _as_int, lo=1)  # field pair for a positive integer
+
+_NOISE = _config(NoiseConfig)
+_IPEA = _config(IpeaConfig, repetitions=_count(10))
+_PRIOR = _config(GaussianBelief, mu=(_as_num, math.pi),
+                 sigma=(_as_num, math.pi))
 
 
-def _ensemble(default):
-    return (lambda c, p, v: _as_int(c, p, v, lo=1), default)
-
-
-def _sub(spec_dict):
-    """Field pair for a nested object: validator plus defaulted default."""
-    default = _check_mapping(_Checker("<defaults>", None), "", {}, spec_dict)
-    return (lambda c, p, v: _check_mapping(c, p, v, spec_dict), default)
+def _rfpe(n_steps):
+    # each runner reads the last step, so a study needs one
+    return _config(RfpeConfig, n_steps=_count(n_steps))
 
 
 def _cross_checks(chk, cfg, raw):
@@ -301,7 +281,7 @@ def validate_config(obj: Any, source: str = "<config>",
     if schema != SCHEMA_VERSION:
         chk.fail("schema", f"expected {SCHEMA_VERSION!r}, got {schema!r}")
     kind = obj.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         chk.fail("kind", f"expected one of {sorted(_KINDS)}, got {kind!r}")
     cfg = _check_mapping(chk, "", obj, _common_spec(kind) | _KINDS[kind].spec)
     _cross_checks(chk, cfg, obj)
@@ -321,8 +301,9 @@ def read_config_file(path) -> tuple[str, object]:
         raise ConfigError(f"{path}: cannot read configuration: {exc}")
     try:
         return text, json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+        raise ConfigError(f"{path}:{getattr(exc, 'lineno', 1)}: invalid JSON: "
+                          f"{getattr(exc, 'msg', exc)}")
 
 
 def load_config(path) -> dict:
@@ -875,56 +856,49 @@ _FINAL_ERROR_AXIS = dict(log_y=True, y_label="median final error (rad)")
 # streams: append new kinds, never reorder.
 _KINDS = {
     "convergence": _Kind(
-        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_ensemble(100),
-                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(50)),
-                  ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
+        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_count(100),
+                  noise=_NOISE, rfpe=_rfpe(50), ipea=_IPEA, prior=_PRIOR),
         criteria=[1, 2, 11], run=_run_convergence,
         plot=dict(x="step", title="Phase estimation convergence",
                   x_label="step", **_ERROR_AXIS),
         ys=_MEDIAN, band=_BAND),
     "phase_noise_sweep": _Kind(
-        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_ensemble(50),
-                  sigma_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0),
-                              list(_DEFAULT_SIGMA_GRID)),
+        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_count(50),
+                  sigma_grid=_key(_as_list, _DEFAULT_SIGMA_GRID, lo=0.0),
                   rfpe_strategy=(_as_strategy, "single_shot"),
                   ipea_strategy=(_as_strategy, "majority_vote"),
-                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(100)),
-                  ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
+                  noise=_NOISE, rfpe=_rfpe(100), ipea=_IPEA, prior=_PRIOR),
         criteria=[4, 11], run=_run_phase_noise_sweep,
         plot=dict(x="sigma_phase", title="Robustness to phase noise",
                   x_label="sigma_phase (rad)", **_FINAL_ERROR_AXIS),
         ys=_MEDIAN, band=_BAND),
     "t2_sweep": _Kind(
-        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_ensemble(50),
-                  t2_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0,
-                                                    lo_open=True),
-                           list(_DEFAULT_T2_GRID)),
+        spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_count(50),
+                  t2_grid=_key(_as_list, [float(2 ** i) for i in range(9)],
+                               lo=0.0, lo_open=True),
                   cap_pgh=(_as_bool, True),
-                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(100)),
-                  ipea=_sub(_IPEA_SPEC), prior=_sub(_PRIOR_SPEC)),
+                  noise=_NOISE, rfpe=_rfpe(100), ipea=_IPEA, prior=_PRIOR),
         criteria=[6, 11], run=_run_t2_sweep,
         plot=dict(x="t2", title="Robustness to decoherence",
                   x_label="T2 (gate applications)", log_x=True,
                   **_FINAL_ERROR_AXIS),
         ys=_MEDIAN, band=_BAND),
     "t2_convergence": _Kind(
-        spec=dict(truth=_TRUTH, ensemble=_ensemble(50),
-                  t2_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0,
-                                                    lo_open=True),
-                           [2.0, 8.0, 32.0, 128.0]),
+        spec=dict(truth=_TRUTH, ensemble=_count(50),
+                  t2_grid=_key(_as_list, [2.0, 8.0, 32.0, 128.0], lo=0.0,
+                               lo_open=True),
                   cap_pgh=(_as_bool, True),
-                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(100)),
-                  prior=_sub(_PRIOR_SPEC)),
+                  noise=_NOISE, rfpe=_rfpe(100), prior=_PRIOR),
         criteria=[6, 11], run=_run_t2_convergence,
         plot=dict(x="step", title="Convergence under decoherence",
                   x_label="step", **_ERROR_AXIS),
         ys=_MEDIAN),
     "strategy_comparison": _Kind(
-        spec=dict(truth=_TRUTH, ensemble=_ensemble(200),
-                  strategies=(_as_strategies,
-                              ["sampled:3", "majority_vote", "single_shot"]),
-                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(10)),
-                  prior=_sub(_PRIOR_SPEC)),
+        spec=dict(truth=_TRUTH, ensemble=_count(200),
+                  strategies=_key(_as_list, ["sampled:3", "majority_vote",
+                                             "single_shot"],
+                                  item=_as_strategy, what="strategy names"),
+                  noise=_NOISE, rfpe=_rfpe(10), prior=_PRIOR),
         criteria=[7, 11], run=_run_strategy_comparison,
         plot=dict(x="step", title="Readout strategies", x_label="step",
                   **_ERROR_AXIS),
@@ -935,9 +909,8 @@ _KINDS = {
                   offset=(_optional(_as_num), None),
                   # median-of-5 estimate per point; a lone multimodal run
                   # would otherwise sink the whole scan
-                  ensemble=_ensemble(5),
-                  noise=_sub(_NOISE_SPEC), rfpe=_sub(_rfpe_spec(50)),
-                  prior=_sub(_PRIOR_SPEC)),
+                  ensemble=_count(5),
+                  noise=_NOISE, rfpe=_rfpe(50), prior=_PRIOR),
         criteria=[10, 11], run=_run_molecular_scan,
         plot=dict(x="distance", title="Dissociation curve",
                   x_label="distance (Angstrom)", y_label="energy (Hartree)"),
@@ -945,21 +918,18 @@ _KINDS = {
             ("reference_energy", "reference"))),
     "fidelity_curve": _Kind(
         spec=dict(truth=_TRUTH,
-                  sigma_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0),
-                              list(_DEFAULT_SIGMA_GRID)),
-                  samples=(lambda c, p, v: _as_int(c, p, v, lo=1000), 20000)),
+                  sigma_grid=_key(_as_list, _DEFAULT_SIGMA_GRID, lo=0.0),
+                  samples=_key(_as_int, 20000, lo=1000)),
         criteria=[5, 11], run=_run_fidelity_curve,
         plot=dict(x="sigma", title="Fidelity under phase noise",
                   x_label="sigma_phase (rad)", y_label="fidelity"),
         ys=(("state_fidelity", "state"), ("gate_fidelity", "gate"))),
     "chernoff_curve": _Kind(
-        spec=dict(p0=(lambda c, p, v: _as_num(c, p, v, lo=0.5, hi=1.0,
-                                              lo_open=True), 2.0 / 3.0),
-                  n=(lambda c, p, v: _as_int(c, p, v, lo=1), 500),
-                  n_bits=(lambda c, p, v: _as_int(c, p, v, lo=2), 16),
-                  pe_grid=(lambda c, p, v: _as_grid(c, p, v, lo=0.0, hi=1.0,
-                                                    hi_open=True),
-                           [round(0.02 * i, 2) for i in range(21)])),
+        spec=dict(p0=_key(_as_num, 2.0 / 3.0, lo=0.5, hi=1.0, lo_open=True),
+                  n=_count(500), n_bits=_key(_as_int, 16, lo=2),
+                  pe_grid=_key(_as_list, [round(0.02 * i, 2)
+                                          for i in range(21)],
+                               lo=0.0, hi=1.0, hi_open=True)),
         criteria=[8, 11], run=_run_chernoff_curve,
         plot=dict(x="pe", title="Majority-vote failure probability",
                   x_label="per-shot error probability",
@@ -968,7 +938,7 @@ _KINDS = {
             ("exact_tail", "exact tail"))),
     "calibration_fit": _Kind(
         spec=dict(data=(_optional(_as_str), None), fringe=_sub(_FRINGE_SPEC),
-                  restarts=(lambda c, p, v: _as_int(c, p, v, lo=1), 16)),
+                  restarts=_count(16)),
         criteria=[9, 11], run=_run_calibration_fit,
         plot=dict(x="p_el", title="Thermo-optic fringe calibration",
                   x_label="electrical power (mW)",

@@ -10,12 +10,14 @@ timestamps or generated identifiers.
 from __future__ import annotations
 
 import csv
+import html
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_escape = partial(html.escape, quote=False)  # text content: &, < and > only
 
 WIDTH = 640
 HEIGHT = 440
@@ -192,7 +194,7 @@ def emit_plot(csv_paths: Sequence, spec: PlotSpec, out_path) -> None:
     parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     if spec.title:
         parts.append(f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{escape(spec.title)}</text>')
+                     f'font-family="sans-serif" font-size="14">{_escape(spec.title)}</text>')
 
     for tv in x_axis.data_ticks():
         px = x_axis.to_pix(tv)
@@ -200,7 +202,7 @@ def emit_plot(csv_paths: Sequence, spec: PlotSpec, out_path) -> None:
                      f'y2="{_fmt(HEIGHT - MARGIN_BOTTOM)}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{_fmt(HEIGHT - MARGIN_BOTTOM + 16)}" '
                      f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-                     f'{escape(_tick_label(tv, spec.log_x))}</text>')
+                     f'{_escape(_tick_label(tv, spec.log_x))}</text>')
     for tv in y_axis.data_ticks():
         py = y_axis.to_pix(tv)
         parts.append(f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(py)}" '
@@ -208,7 +210,7 @@ def emit_plot(csv_paths: Sequence, spec: PlotSpec, out_path) -> None:
                      f'stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(MARGIN_LEFT - 6)}" y="{_fmt(py + 4)}" '
                      f'text-anchor="end" font-family="sans-serif" font-size="11">'
-                     f'{escape(_tick_label(tv, spec.log_y))}</text>')
+                     f'{_escape(_tick_label(tv, spec.log_y))}</text>')
 
     frame = (f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" '
              f'width="{_fmt(WIDTH - MARGIN_LEFT - MARGIN_RIGHT)}" '
@@ -237,12 +239,12 @@ def emit_plot(csv_paths: Sequence, spec: PlotSpec, out_path) -> None:
     if spec.x_label:
         parts.append(f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.1f}" '
                      f'y="{HEIGHT - 14}" text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="12">{escape(spec.x_label)}</text>')
+                     f'font-size="12">{_escape(spec.x_label)}</text>')
     if spec.y_label:
         cx, cy = 16, (MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2
         parts.append(f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 {cx} {cy:.1f})">{escape(spec.y_label)}</text>')
+                     f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(spec.y_label)}</text>')
 
     legend_x = WIDTH - MARGIN_RIGHT - 170
     legend_y = MARGIN_TOP + 10
@@ -253,7 +255,7 @@ def emit_plot(csv_paths: Sequence, spec: PlotSpec, out_path) -> None:
                      f'x2="{_fmt(legend_x + 22)}" y2="{_fmt(ly)}" '
                      f'stroke="{color}" stroke-width="2" class="legend"/>')
         parts.append(f'<text x="{_fmt(legend_x + 28)}" y="{_fmt(ly + 4)}" '
-                     f'font-family="sans-serif" font-size="11">{escape(layer.label)}</text>')
+                     f'font-family="sans-serif" font-size="11">{_escape(layer.label)}</text>')
 
     parts.append("</svg>")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,6 +1,10 @@
-"""Source hygiene: every imported name is used in its module."""
+"""Source hygiene: every imported name is used in its module, and
+importing the package loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,3 +34,15 @@ def test_every_imported_name_is_used():
     unused = [hit for path in SOURCES if path.name != "__init__.py"
               for hit in _unused_imports(path)]
     assert not unused, "\n".join(unused)
+
+
+def test_import_loads_no_heavy_modules():
+    # scipy loads where a fit needs it; the SVG escape needs no urllib
+    heavy = ("scipy", "urllib.request", "http.client")
+    code = ("import sys, rfpe_lab; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from rfpe_lab.experiment import device_oracle_for_phase
 from rfpe_lab.noise import (CountPair, NoiseConfig, depolarize, majority,
-                            perturb_phases, reduce_outcome, sample_counts)
-from rfpe_lab.phases import ExperimentSetting
+                            perturb_phases, readouts, reduce_outcome,
+                            sample_counts)
+from rfpe_lab.phases import ExperimentSetting, FieldError
 from rfpe_lab.scenarios import ConfigError, validate_config
 
 
@@ -45,8 +46,10 @@ def test_strategy_validation():
             validate_config({"schema": "rfpe-lab/1", "kind": "convergence",
                              "noise": {"strategy": name}},
                             source="cfg.json", text=text)
-    with pytest.raises(ValueError, match="unknown strategy"):
+    with pytest.raises(FieldError, match="^strategy: unknown strategy"):
         NoiseConfig(strategy="plurality")
+    with pytest.raises(ValueError, match="'sampled:x'"):
+        readouts("sampled:x")
 
 
 # --------------------------------------------------------------------- config
@@ -54,8 +57,9 @@ def test_strategy_validation():
 
 def test_noise_config_validation():
     NoiseConfig()  # defaults are valid
-    with pytest.raises(ValueError):
-        NoiseConfig(sigma_phase=-0.1)
+    for sigma in (-0.1, math.nan):
+        with pytest.raises(FieldError, match=r"^sigma_phase: must be >= 0\.0"):
+            NoiseConfig(sigma_phase=sigma)
     with pytest.raises(ValueError):
         NoiseConfig(t2=0.0)
     with pytest.raises(ValueError):

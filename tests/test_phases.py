@@ -1,14 +1,24 @@
 """Angle arithmetic and the single-experiment fringe."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfpe_lab.phases import (TWO_PI, ExperimentSetting, circular_distance,
-                             fringe, likelihood, wrap_phase)
+from rfpe_lab.phases import (TWO_PI, ExperimentSetting, FieldError,
+                             circular_distance, fringe, likelihood, wrap_phase)
+
+
+def test_field_error_names_its_field_and_survives_pickling():
+    err = FieldError("shots", "must be >= 1, got 0")
+    assert isinstance(err, ValueError)
+    assert str(err) == "shots: must be >= 1, got 0"
+    back = pickle.loads(pickle.dumps(err))  # as a worker process returns it
+    assert (back.args, str(back)) == (("shots", "must be >= 1, got 0"),
+                                      str(err))
 
 
 def test_wrap_phase_spot_values():

@@ -8,7 +8,8 @@ import pytest
 import rfpe_lab.rfpe as rfpe_mod
 from rfpe_lab.experiment import device_oracle_for_phase
 from rfpe_lab.noise import NoiseConfig
-from rfpe_lab.phases import TWO_PI, ExperimentSetting, circular_distance
+from rfpe_lab.phases import (TWO_PI, ExperimentSetting, FieldError,
+                             circular_distance)
 from rfpe_lab.rfpe import (DegenerateUpdateError, GaussianBelief, RfpeConfig,
                            UpdateFailure, acceptance_probability,
                            grid_posterior, particle_guess,
@@ -38,6 +39,11 @@ def test_config_validation():
         RfpeConfig(kappa_e=1.5)
     with pytest.raises(ValueError):
         RfpeConfig(n_steps=-1)
+    # m is capped at floor(t2_cap), so a cap below one gate time leaves no m
+    for cap in (0.5, math.nan):
+        with pytest.raises(FieldError, match=r"^t2_cap: a T2 cap below one "
+                                             r"gate time is unusable"):
+            RfpeConfig(t2_cap=cap)
     RfpeConfig(n_steps=0)  # allowed: empty run
 
 

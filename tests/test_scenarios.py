@@ -2,16 +2,30 @@
 
 import json
 import math
+import re
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfpe_lab import scenarios
+from rfpe_lab.ipea import IpeaConfig
+from rfpe_lab.noise import NoiseConfig
+from rfpe_lab.rfpe import GaussianBelief, RfpeConfig
 from rfpe_lab.scenarios import (KCAL_PER_HARTREE, KINDS, OUT_DIR_ENV,
                                 ConfigError, load_config,
                                 load_molecular_table, run_scenario,
                                 run_scenario_config, validate_config)
 
 # --------------------------------------------------------------- validation
+
+
+def _minimal(kind):
+    obj = {"schema": "rfpe-lab/1", "kind": kind}
+    if kind == "molecular_scan":
+        obj["table"] = "table.csv"
+    return obj
 
 
 def test_defaults_are_filled_in():
@@ -30,11 +44,7 @@ def test_defaults_are_filled_in():
 
 def test_every_kind_validates_with_minimal_config():
     for kind in KINDS:
-        obj = {"schema": "rfpe-lab/1", "kind": kind}
-        if kind == "molecular_scan":
-            obj["table"] = "table.csv"
-        cfg = validate_config(obj)
-        assert cfg["kind"] == kind
+        assert validate_config(_minimal(kind))["kind"] == kind
 
 
 def test_schema_and_kind_are_enforced():
@@ -46,6 +56,9 @@ def test_schema_and_kind_are_enforced():
         validate_config({"schema": "rfpe-lab/1", "kind": "mystery"})
     with pytest.raises(ConfigError, match="expected a JSON object"):
         validate_config([1, 2])
+    for kind in ([], {}, 3):  # a list or an object cannot name a kind
+        with pytest.raises(ConfigError, match=r"^<config>:1: kind: expected"):
+            validate_config({"schema": "rfpe-lab/1", "kind": kind})
 
 
 def test_unknown_and_invalid_keys():
@@ -124,6 +137,9 @@ def test_load_config_anchors_lines(tmp_path):
     broken.write_text('{ "schema": ')
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(broken)
+    broken.write_text('{"rng_seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match=r"broken\.json:1: invalid JSON"):
+        load_config(broken)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.json")
 
@@ -134,6 +150,96 @@ def test_rejected_config_writes_nothing(tmp_path):
         run_scenario_config({"schema": "rfpe-lab/1", "kind": "convergence",
                              "ensemble": 0}, out_dir=out)
     assert not out.exists()
+
+
+# every key a kind knows: the top-level keys and those of its sub-objects
+_KEY_PATHS = {
+    kind: [(key,) for key in cfg] + [(key, sub) for key, value in cfg.items()
+                                     if isinstance(value, dict)
+                                     for sub in value]
+    for kind, cfg in ((kind, validate_config(_minimal(kind))) for kind in KINDS)}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_json_value_validates_or_is_rejected_with_an_anchor(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    obj = _minimal(kind)
+    paths = data.draw(st.lists(st.sampled_from(_KEY_PATHS[kind]),
+                               min_size=1, max_size=3))
+    for path in paths:
+        value = data.draw(_JSON)
+        if len(path) == 1:
+            obj[path[0]] = value
+        else:
+            outer = obj.get(path[0])
+            obj[path[0]] = {**(outer if isinstance(outer, dict) else {}),
+                            path[1]: value}
+    try:
+        validate_config(obj, source="fuzz.json", text=json.dumps(obj, indent=2))
+    except ConfigError as exc:
+        assert re.match(r"^fuzz\.json:\d+: ", str(exc)), str(exc)
+
+
+# the sub-objects whose keys are the fields of a class, less rng_seed
+_CONFIGURED = {"noise": NoiseConfig, "rfpe": RfpeConfig, "ipea": IpeaConfig,
+               "prior": GaussianBelief}
+_STUDY_KEYS = {"ipea": {"repetitions"}}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-9, 9)
+_OF_ANNOTATION = {
+    "int": st.integers(-3, 3000), "float": _FINITE, "bool": st.booleans(),
+    "str": st.sampled_from(["single_shot", "majority_vote", "sampled",
+                            "sampled:2", "sampled:0", "sampled:x", "vote"]),
+    "Optional[float]": st.none() | _FINITE}
+
+
+def _constructs(cls, values) -> bool:
+    try:
+        cls(**values)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sub_objects_take_the_bounds_of_their_classes(data):
+    key = data.draw(st.sampled_from(sorted(_CONFIGURED)))
+    cls = _CONFIGURED[key]
+    values = {f.name: data.draw(_OF_ANNOTATION[f.type], label=f.name)
+              for f in fields(cls) if f.name != "rng_seed"}
+    expected = _constructs(cls, values)
+    if key == "rfpe":  # a study reads the last step, so it needs one
+        expected = expected and values["n_steps"] >= 1
+    try:
+        validate_config(dict(_minimal("convergence"), **{key: values}),
+                        source="cfg.json")
+    except ConfigError as exc:
+        assert re.match(rf"^cfg\.json:\d+: {key}\.\w+: ", str(exc))
+        assert not expected, str(exc)
+    else:
+        assert expected
+
+
+def test_sub_object_defaults_are_the_class_defaults():
+    for kind in KINDS:
+        cfg = validate_config(_minimal(kind))
+        for key in _CONFIGURED.keys() & cfg.keys():
+            # the kind sets n_steps, and the prior has no class default
+            given = {"rfpe": {"n_steps": cfg[key].get("n_steps")},
+                     "prior": {"mu": math.pi, "sigma": math.pi}}.get(key, {})
+            expected = asdict(_CONFIGURED[key](**given))
+            expected.pop("rng_seed", None)
+            got = {k: v for k, v in cfg[key].items()
+                   if k not in _STUDY_KEYS.get(key, ())}
+            assert got == expected, (kind, key)
 
 
 # ----------------------------------------------------------- molecular table
