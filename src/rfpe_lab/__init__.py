@@ -24,8 +24,8 @@ from .phases import (TWO_PI, ExperimentSetting, circular_distance, likelihood,
                      wrap_phase)
 from .rfpe import (DegenerateUpdateError, GaussianBelief, InferenceTraceRow,
                    RfpeConfig, UpdateFailure, acceptance_probability,
-                   grid_posterior, particle_guess, particle_guess_capped,
-                   rejection_update, rfpe_run)
+                   analytic_posterior, grid_posterior, particle_guess,
+                   particle_guess_capped, rejection_update, rfpe_run)
 from .scenarios import (ConfigError, MolecularRecord, load_config,
                         load_molecular_table, run_scenario,
                         run_scenario_config, validate_config)

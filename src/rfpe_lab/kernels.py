@@ -1,8 +1,8 @@
 """Rejection-sampling kernel of the RFPE update.
 
-`rejection_accumulate` keeps the particles that pass the rejection
-test against the shared outcome fringe `phases.fringe`, evaluated on the
-whole particle array, and returns their count plus the first and second
+`rejection_accumulate` keeps the particles whose outcome fringe
+`phases.fringe`, evaluated on the whole particle array, is at least
+their uniform draw, and returns their count plus the first and second
 moment sums in the frame centred on the prior mean and in the frame
 shifted by pi.
 """
@@ -14,14 +14,11 @@ import numpy as np
 from .phases import TWO_PI, fringe
 
 
-def rejection_accumulate(samples, uniforms, outcome, m, theta, kappa, mu):
+def rejection_accumulate(samples, uniforms, outcome, m, theta, mu):
     x = np.mod(samples, TWO_PI)
-    keep = fringe(outcome, x, m, theta) >= kappa * uniforms
+    keep = fringe(outcome, x, m, theta) >= uniforms
     x = x[keep]
     n_acc = int(x.size)
-    if n_acc == 0:
-        return 0, 0.0, 0.0, 0.0, 0.0
-
     c0 = np.mod(mu, TWO_PI)
     cpi = np.mod(c0 + np.pi, TWO_PI)
     z = x - c0

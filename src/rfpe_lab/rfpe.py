@@ -8,9 +8,9 @@ computed both in the original frame and in a frame shifted by pi, and
 the frame with the smaller sample variance wins; that makes the refit
 robust to posteriors straddling the 0/2*pi seam.
 
-`grid_posterior` is an independent dense-grid reference for the same
-update (exact posterior moments under the same frame rule), used to
-cross-check the sampler.
+`analytic_posterior` is the same update in closed form, taken when too
+few particles survive; `grid_posterior` is an independent dense-grid
+reference (exact moments under the same frame rule) that checks both.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .phases import (TWO_PI, ExperimentSetting, FieldError, Oracle,
 
 # Smallest admissible belief width; a refit collapsing below this is clamped.
 SIGMA_FLOOR = 1e-15
-# A failed update is redrawn this many times, then tried once more from a
-# prior widened by SIGMA_INFLATION.
-MAX_RETRIES = 10
-SIGMA_INFLATION = 1.5
 
 
 class UpdateFailure(RuntimeError):
@@ -60,8 +56,6 @@ class GaussianBelief:
 class RfpeConfig:
     """Knobs for a rejection-filtering run.
 
-    kappa_e is the rejection-test scale (an upper bound on the outcome
-    likelihood; 1.0 is always safe for a two-outcome fringe).
     t2_cap, when set, limits m to floor(t2) so experiments stay inside
     the coherence window. `__post_init__` bounds a scenario's `rfpe`
     object too.
@@ -69,7 +63,6 @@ class RfpeConfig:
 
     n_particles: int = 1000
     n_steps: int = 50
-    kappa_e: float = 1.0
     t2_cap: Optional[float] = None
     rng_seed: int = 0
 
@@ -78,8 +71,6 @@ class RfpeConfig:
             raise FieldError("n_particles", f"must be >= 2, got {self.n_particles}")
         if not (self.n_steps >= 0):
             raise FieldError("n_steps", f"must be >= 0, got {self.n_steps}")
-        if not (0.0 < self.kappa_e <= 1.0):
-            raise FieldError("kappa_e", f"must lie in (0, 1], got {self.kappa_e}")
         if self.t2_cap is not None and not (self.t2_cap >= 1.0):
             raise FieldError("t2_cap", "a T2 cap below one gate time is unusable, "
                              f"got {self.t2_cap}")
@@ -136,13 +127,13 @@ def rejection_update(outcome: int, belief: GaussianBelief, setting: ExperimentSe
                      config: RfpeConfig, rng: np.random.Generator) -> GaussianBelief:
     """Single Bayesian update by rejection sampling against the outcome likelihood.
 
-    Raises UpdateFailure if fewer than two particles survive; the caller
-    decides the retry policy.
+    A particle survives when the fringe, whose peak is 1, is at least its
+    uniform draw. Raises UpdateFailure if fewer than two particles survive.
     """
     x = rng.normal(belief.mu, belief.sigma, config.n_particles)
     u = rng.uniform(0.0, 1.0, config.n_particles)
     n_acc, s1, s2, s1p, s2p = kernels.rejection_accumulate(
-        x, u, outcome, float(setting.m), setting.theta, config.kappa_e, belief.mu)
+        x, u, outcome, float(setting.m), setting.theta, belief.mu)
     if n_acc < 2:
         raise UpdateFailure(f"only {n_acc} particles accepted")
     return _refit(n_acc, s1, s2, s1p, s2p, belief.mu)
@@ -181,30 +172,14 @@ def grid_posterior(outcome: int, belief: GaussianBelief, setting: ExperimentSett
     return GaussianBelief(mu=wrap_phase(m0), sigma=max(math.sqrt(var0), SIGMA_FLOOR))
 
 
-def _update_with_retries(outcome, belief, setting, config, rng):
-    for _ in range(MAX_RETRIES):
-        try:
-            return rejection_update(outcome, belief, setting, config, rng)
-        except UpdateFailure:
-            continue
-    # Last resort: widen the prior once and try again.
-    inflated = GaussianBelief(mu=belief.mu, sigma=belief.sigma * SIGMA_INFLATION)
-    try:
-        return rejection_update(outcome, inflated, setting, config, rng)
-    except UpdateFailure as exc:
-        raise UpdateFailure(
-            f"update failed after {MAX_RETRIES} retries and one "
-            f"sigma inflation (m={setting.m}, outcome={outcome})") from exc
-
-
 def rfpe_run(oracle: Oracle, initial: GaussianBelief, config: RfpeConfig,
              truth: Optional[float] = None) -> list[InferenceTraceRow]:
     """Adaptive estimation loop: choose experiment, query oracle, update.
 
     The oracle returns a sequence of outcomes (one per datum of its
-    readout strategy); each outcome feeds one sequential update at the
-    same setting. One trace row is recorded per step, carrying the last
-    outcome consumed and the end-of-step posterior.
+    readout strategy); each feeds one update at the same setting, in
+    closed form when the sampler starves. One trace row per step carries
+    the last outcome consumed and the end-of-step posterior.
     """
     rng = np.random.default_rng(config.rng_seed)
     belief = initial
@@ -217,23 +192,46 @@ def rfpe_run(oracle: Oracle, initial: GaussianBelief, config: RfpeConfig,
         outcomes = list(oracle(setting))
         if not outcomes:
             raise ValueError("oracle returned no outcomes")
-        for outcome in outcomes:
-            belief = _update_with_retries(int(outcome), belief, setting, config, rng)
+        for outcome in map(int, outcomes):
+            try:
+                belief = rejection_update(outcome, belief, setting, config, rng)
+            except UpdateFailure:
+                belief = analytic_posterior(outcome, belief, setting)
         error = circular_distance(belief.mu, wrap_phase(truth)) if truth is not None else None
         trace.append(InferenceTraceRow(step=step, setting=setting,
-                                       outcome=int(outcomes[-1]),
+                                       outcome=outcome,
                                        posterior=belief, error=error))
     return trace
 
 
 def acceptance_probability(outcome: int, belief: GaussianBelief,
                            setting: ExperimentSetting) -> float:
-    """Expected accept fraction of the rejection test at kappa_e = 1.
+    """Z = (1 +- D c) / 2, the Gaussian average of the fringe (+ for outcome 0).
 
-    Closed form of the Gaussian average of the fringe, handy as an
-    analytic cross-check of the sampler.
+    D = exp(-(m sigma)^2 / 2) and c = cos(m (mu - theta)); Z is summed as
+    the fringe at mu plus -+c (1 - D) / 2, so a starved Z stays precise.
     """
-    damp = math.exp(-0.5 * (setting.m * belief.sigma) ** 2)
-    c = math.cos(setting.m * (belief.mu - setting.theta))
-    p0 = 0.5 * (1.0 + damp * c)
-    return p0 if outcome == 0 else 1.0 - p0
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    half = 0.5 * setting.m * (belief.mu - setting.theta)
+    edge = math.sin(half) ** 2 if outcome else math.cos(half) ** 2
+    return edge + (0.5 - outcome) * math.cos(2.0 * half) * math.expm1(
+        -0.5 * (setting.m * belief.sigma) ** 2)
+
+
+def analytic_posterior(outcome: int, belief: GaussianBelief,
+                       setting: ExperimentSetting) -> GaussianBelief:
+    """The rejection update's infinite-particle limit, ignoring the wrap.
+
+    With s = sin(m (mu - theta)) and D, c, Z as in `acceptance_probability`,
+    E[x - mu] = -+m sigma^2 D s / (2Z) and E[(x - mu)^2] = (sigma^2 +-
+    (sigma^2 - m^2 sigma^4) D c) / (2Z), summed as sigma^2 -+ m^2 sigma^4 D c / (2Z).
+    """
+    sign, m, var = 1.0 - 2.0 * outcome, setting.m, belief.sigma ** 2
+    phase = m * (belief.mu - setting.theta)
+    gain = m * var * math.exp(-0.5 * m * m * var) / (
+        2.0 * acceptance_probability(outcome, belief, setting))
+    shift = -sign * gain * math.sin(phase)
+    var_post = var - sign * m * var * gain * math.cos(phase) - shift * shift
+    return GaussianBelief(mu=belief.mu + shift,
+                          sigma=max(math.sqrt(var_post), SIGMA_FLOOR))

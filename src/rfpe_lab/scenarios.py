@@ -101,7 +101,10 @@ def _as_int(chk, path, v, lo=None):
 def _as_num(chk, path, v, lo=None, hi=None, lo_open=False, hi_open=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         chk.fail(path, f"expected a number, got {v!r}")
-    out = float(v)
+    try:
+        out = float(v)
+    except OverflowError:  # an integer past the float range
+        out = math.inf if v > 0 else -math.inf
     if not math.isfinite(out):
         chk.fail(path, f"must be finite, got {out!r}")
     if lo is not None and (out <= lo if lo_open else out < lo):
@@ -555,9 +558,12 @@ class _RunContext:
             self.outputs.append(name)
             self.series.append((name, legend))
 
-    def resolve(self, path) -> Path:
-        p = Path(path)
-        return p if p.is_absolute() else self.base_dir / p
+    def read(self, load, path, **options):
+        """`load` the input file at `path` from base_dir, or a ConfigError."""
+        try:
+            return load(self.base_dir / path, **options)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc))
 
 
 _STEP_HEADER = ["step", "median_error", "p16_error", "p84_error"]
@@ -701,12 +707,8 @@ def _run_strategy_comparison(cfg, ctx):
 
 def _run_molecular_scan(cfg, ctx):
     label = cfg["label"]
-    try:
-        records = load_molecular_table(ctx.resolve(cfg["table"]),
-                                       scale=cfg["scale"],
-                                       offset=cfg["offset"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    records = ctx.read(load_molecular_table, cfg["table"],
+                       scale=cfg["scale"], offset=cfg["offset"])
     if not records:
         raise ConfigError(f"{cfg['table']}: table has no rows; nothing to scan")
 
@@ -786,7 +788,7 @@ def _run_calibration_fit(cfg, ctx):
     label = cfg["label"]
     truth = None
     if cfg["data"] is not None:
-        samples = load_fringe_csv(ctx.resolve(cfg["data"]))
+        samples = ctx.read(load_fringe_csv, cfg["data"])
     else:
         fr = cfg["fringe"]
         truth = {k: fr[k] for k in ("b", "a", "t", "p_phi")}

@@ -64,6 +64,18 @@ def test_run_rejects_missing_file_and_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,key", [("calibration_fit", "data"),
+                                      ("molecular_scan", "table")])
+def test_run_rejects_an_unreadable_input_file(tmp_path, capsys, kind, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": "rfpe-lab/1", "kind": kind,
+                                key: "missing.csv"}, indent=1) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_run_mid_run_failure_exits_one(tmp_path, capsys, monkeypatch):
     run = scenarios.rfpe_run
 

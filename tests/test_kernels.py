@@ -17,13 +17,13 @@ from rfpe_lab import kernels
 TWO_PI = 2.0 * math.pi
 
 
-def _reference(samples, uniforms, outcome, m, theta, kappa, mu):
+def _reference(samples, uniforms, outcome, m, theta, mu):
     """Straight-line numpy restatement of the kernel contract."""
     x = np.mod(np.asarray(samples, dtype=float), TWO_PI)
     c = np.cos(0.5 * m * (x - theta))
     p0 = c * c
     lik = p0 if outcome == 0 else 1.0 - p0
-    keep = lik >= kappa * np.asarray(uniforms, dtype=float)
+    keep = lik >= np.asarray(uniforms, dtype=float)
     xk = x[keep]
     if xk.size == 0:
         return 0, 0.0, 0.0, 0.0, 0.0
@@ -44,8 +44,7 @@ def _random_case(rng):
     outcome = int(rng.integers(0, 2))
     m = float(max(1, math.ceil(1.25 / sigma)))
     theta = float(rng.uniform(0.0, TWO_PI))
-    kappa = float(rng.uniform(0.3, 1.0))
-    return samples, uniforms, outcome, m, theta, kappa, mu
+    return samples, uniforms, outcome, m, theta, mu
 
 
 def test_kernel_matches_reference():
@@ -60,13 +59,12 @@ def test_kernel_matches_reference():
 
 
 def test_zero_acceptance_edge():
-    # kappa 1 with a likelihood of exactly zero everywhere: reject all
+    # outcome 1 with every sample at theta has likelihood exactly 0,
+    # below every uniform of 1
     samples = np.full(50, math.pi)
     uniforms = np.full(50, 1.0)
-    # outcome 1 at theta == pi, m 2: lik = 1 - cos^2(pi - pi) ... pick
-    # outcome 1 with all samples on the fringe null instead
     out = kernels.rejection_accumulate(samples, uniforms, 1, 2.0,
-                                       math.pi, 1.0, math.pi)
+                                       math.pi, math.pi)
     assert out == (0, 0.0, 0.0, 0.0, 0.0)
 
 

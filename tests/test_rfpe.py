@@ -12,7 +12,7 @@ from rfpe_lab.phases import (TWO_PI, ExperimentSetting, FieldError,
                              circular_distance)
 from rfpe_lab.rfpe import (DegenerateUpdateError, GaussianBelief, RfpeConfig,
                            UpdateFailure, acceptance_probability,
-                           grid_posterior, particle_guess,
+                           analytic_posterior, grid_posterior, particle_guess,
                            particle_guess_capped, rejection_update, rfpe_run)
 
 
@@ -33,10 +33,8 @@ def test_gaussian_belief_wraps_and_validates():
 def test_config_validation():
     with pytest.raises(ValueError):
         RfpeConfig(n_particles=1)
-    with pytest.raises(ValueError):
-        RfpeConfig(kappa_e=0.0)
-    with pytest.raises(ValueError):
-        RfpeConfig(kappa_e=1.5)
+    with pytest.raises(TypeError):  # the fringe peaks at 1: no scale to set
+        RfpeConfig(kappa_e=1.0)
     with pytest.raises(ValueError):
         RfpeConfig(n_steps=-1)
     # m is capped at floor(t2_cap), so a cap below one gate time leaves no m
@@ -162,6 +160,8 @@ def test_rejection_update_validation():
     config = RfpeConfig()
     with pytest.raises(ValueError):
         rejection_update(2, belief, setting, config, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        analytic_posterior(2, belief, setting)
 
 
 def test_rejection_update_starved_posterior_fails():
@@ -260,19 +260,119 @@ def test_rfpe_run_consumes_multi_outcome_readout():
     assert all(row.outcome == 1 for row in trace)
 
 
-def test_retry_ladder_counts_attempts(monkeypatch):
+def test_forced_update_failure_takes_the_closed_form(monkeypatch):
     attempts = []
 
     def always_fail(outcome, belief, setting, config, rng):
-        attempts.append(belief.sigma)
+        attempts.append(belief)
         raise UpdateFailure("forced")
 
     monkeypatch.setattr(rfpe_mod, "rejection_update", always_fail)
-    with pytest.raises(UpdateFailure, match="10 retries and one sigma inflation"):
-        rfpe_run(_noiseless_oracle(1.0, seed=14),
-                 GaussianBelief(math.pi, 0.5),
-                 RfpeConfig(n_steps=1, rng_seed=0))
-    assert len(attempts) == 11
-    # the final attempt ran against the widened prior
-    assert attempts[-1] == pytest.approx(0.5 * 1.5)
-    assert all(a == pytest.approx(0.5) for a in attempts[:-1])
+    prior = GaussianBelief(math.pi, 0.5)
+    trace = rfpe_run(_noiseless_oracle(1.0, seed=14), prior,
+                     RfpeConfig(n_steps=1, rng_seed=0))
+    # one attempt against the prior itself: no redraw, no widening
+    assert attempts == [prior]
+    row = trace[0]
+    assert row.posterior == analytic_posterior(row.outcome, prior, row.setting)
+
+
+# ------------------------------------------------------- closed-form update
+
+
+def _wrap_bounds(belief, z):
+    """Bounds on the moment gaps between the unwrapped and the grid posterior.
+
+    The grid measures moments inside the 2*pi frame whose cut lies farther
+    from mu, at d >= pi/2, which is the frame its variance rule picks for a
+    prior this tight. Posterior mass at |x - mu| > d moves by 2*pi and
+    lands at most 2*pi - d from mu. The fringe is at most 1, so that mass and
+    its first two moments are at most the prior's Gaussian tails over z.
+    Returns bounds on the gaps in E[x - mu] and in E[(x - mu)^2].
+    """
+    mu, sigma = belief.mu, belief.sigma
+    d = max(min(mu, TWO_PI - mu), abs(mu - math.pi))
+    t = d / sigma
+    density = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * t * t)
+    p0 = math.erfc(t / math.sqrt(2.0))
+    p1 = sigma * density
+    p2 = sigma ** 2 * (p0 + t * density)
+    r = TWO_PI - d
+    return (p1 + r * p0) / z, (p2 + r * r * p0) / z
+
+
+def test_analytic_posterior_matches_grid():
+    # the grid resolves the posterior to far below this rounding floor
+    floor = 1e-9
+    rng = np.random.default_rng(30)
+    for case in range(200):
+        mu = float(rng.uniform(0.0, TWO_PI))
+        sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(math.pi / 6))))
+        m = int(rng.integers(1, math.ceil(1.25 / sigma) + 1))
+        theta = float(rng.normal(mu, sigma))
+        outcome = case % 2
+        prior, setting = GaussianBelief(mu, sigma), ExperimentSetting(m, theta)
+        got = analytic_posterior(outcome, prior, setting)
+        ref = grid_posterior(outcome, prior, setting)
+        d1, d2 = _wrap_bounds(prior, acceptance_probability(outcome, prior,
+                                                            setting))
+        shift = circular_distance(got.mu, mu)
+        d_var = d2 + d1 * (2.0 * shift + d1)
+        assert circular_distance(got.mu, ref.mu) <= d1 + floor, case
+        assert abs(got.sigma - ref.sigma) <= d_var / got.sigma + floor, case
+
+
+def _kurtosis(outcome, belief, setting):
+    """Kurtosis of the unwrapped posterior, by quadrature in units of sigma."""
+    u = np.linspace(-12.0, 12.0, 4001)
+    phase = setting.m * (belief.mu - setting.theta)
+    w = np.exp(-0.5 * u * u) * (1.0 + (1 - 2 * outcome)
+                                * np.cos(setting.m * belief.sigma * u + phase))
+    w /= w.sum()
+    c = u - w @ u
+    return float(w @ c ** 4 / (w @ c ** 2) ** 2)
+
+
+def test_analytic_posterior_matches_a_million_particles():
+    n = 1_000_000
+    config = RfpeConfig(n_particles=n)
+    rng = np.random.default_rng(31)
+    cases = 0
+    while cases < 12:
+        mu = float(rng.uniform(0.0, TWO_PI))
+        sigma = float(np.exp(rng.uniform(np.log(1e-12), np.log(math.pi / 6))))
+        m = max(1, round(float(np.exp(rng.uniform(np.log(1e-6), np.log(1.25))))
+                         / sigma))
+        prior = GaussianBelief(mu, sigma)
+        setting = ExperimentSetting(m, float(rng.normal(mu, sigma)))
+        outcome = int(rng.integers(0, 2))
+        n_acc = n * acceptance_probability(outcome, prior, setting)
+        if n_acc < 1000:  # a starved kernel has no moments to compare
+            continue
+        cases += 1
+        got = analytic_posterior(outcome, prior, setting)
+        post = rejection_update(outcome, prior, setting, config,
+                                np.random.default_rng([31, cases]))
+        se_mu = got.sigma / math.sqrt(n_acc)
+        se_sigma = se_mu * math.sqrt(
+            (_kurtosis(outcome, prior, setting) - 1.0) / 4.0)
+        assert circular_distance(post.mu, got.mu) <= 6.0 * se_mu, cases
+        assert abs(post.sigma - got.sigma) <= 6.0 * se_sigma, cases
+
+
+def test_analytic_posterior_of_a_starved_update():
+    # outcome 1 at theta = mu with m sigma = 1e-3: a 1000-particle update
+    # accepts nothing, and the exact posterior is sigma^2 u^2 N(u), whose
+    # width is sqrt(3) sigma
+    prior = GaussianBelief(3.0, 1e-6)
+    setting = ExperimentSetting(m=1000, theta=3.0)
+    with pytest.raises(UpdateFailure):
+        rejection_update(1, prior, setting, RfpeConfig(),
+                         np.random.default_rng(3))
+    post = analytic_posterior(1, prior, setting)
+    assert post.mu == 3.0
+    assert post.sigma / prior.sigma == pytest.approx(math.sqrt(3.0), rel=1e-6)
+    # at m sigma = 1e-12, 1 - D c rounds to 0 but Z keeps its precision
+    tight = GaussianBelief(3.0, 1e-12)
+    post = analytic_posterior(1, tight, ExperimentSetting(m=1, theta=3.0))
+    assert post.sigma / tight.sigma == pytest.approx(math.sqrt(3.0), rel=1e-12)

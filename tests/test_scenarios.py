@@ -75,6 +75,10 @@ def test_unknown_and_invalid_keys():
         validate_config(dict(base, label="../escape"))
     with pytest.raises(ConfigError, match="strategy"):
         validate_config(dict(base, noise={"strategy": "plurality"}))
+    # the rejection test has no scale: the fringe peaks at 1
+    with pytest.raises(ConfigError,
+                       match=r"^<config>:1: rfpe\.kappa_e: unknown key$"):
+        validate_config(dict(base, rfpe={"kappa_e": 1.0}))
 
 
 def test_cross_checks():
@@ -161,6 +165,7 @@ _KEY_PATHS = {
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
     | st.text(max_size=8),
     lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.text(max_size=5), kids, max_size=3),
@@ -482,6 +487,18 @@ def test_mid_run_failure_flushes_and_marks_incomplete(tmp_path, monkeypatch):
             assert rows[0] == "t2,median_error,p16_error,p84_error"
             assert len(rows) == 3  # the two completed grid points survived
             assert [r.split(",")[0] for r in rows[1:]] == ["4.0", "2.0"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_single_shot_t2_sweep_completes(tmp_path, seed):
+    # under the cap m stops growing while sigma shrinks, so single shots
+    # starve some updates, which then take the closed-form posterior
+    cfg = {"schema": "rfpe-lab/1", "kind": "t2_sweep", "algorithm": "rfpe",
+           "t2_grid": [1.0, 2.0], "noise": {"strategy": "single_shot"},
+           "rng_seed": seed}
+    manifest = run_scenario_config(cfg, out_dir=tmp_path, workers=2)
+    assert manifest["complete"] is True
+    assert manifest["error"] is None
 
 
 def test_strategy_comparison_outputs(tmp_path):
