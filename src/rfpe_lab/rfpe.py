@@ -74,15 +74,21 @@ class RfpeConfig:
         if self.t2_cap is not None and not (self.t2_cap >= 1.0):
             raise FieldError("t2_cap", "a T2 cap below one gate time is unusable, "
                              f"got {self.t2_cap}")
+        if self.t2_cap == math.inf:  # m is capped at floor(t2_cap), an int
+            raise FieldError("t2_cap", f"must be finite, got {self.t2_cap}")
 
 
 @dataclass(frozen=True)
 class InferenceTraceRow:
+    """One step of `rfpe_run`; `fallbacks` counts the step's data whose
+    update starved and took `analytic_posterior`."""
+
     step: int
     setting: ExperimentSetting
     outcome: int
     posterior: GaussianBelief
     error: Optional[float] = None
+    fallbacks: int = 0
 
 
 def particle_guess(belief: GaussianBelief, rng: np.random.Generator) -> ExperimentSetting:
@@ -179,7 +185,8 @@ def rfpe_run(oracle: Oracle, initial: GaussianBelief, config: RfpeConfig,
     The oracle returns a sequence of outcomes (one per datum of its
     readout strategy); each feeds one update at the same setting, in
     closed form when the sampler starves. One trace row per step carries
-    the last outcome consumed and the end-of-step posterior.
+    the last outcome consumed, the end-of-step posterior and the count of
+    closed-form updates.
     """
     rng = np.random.default_rng(config.rng_seed)
     belief = initial
@@ -192,15 +199,17 @@ def rfpe_run(oracle: Oracle, initial: GaussianBelief, config: RfpeConfig,
         outcomes = list(oracle(setting))
         if not outcomes:
             raise ValueError("oracle returned no outcomes")
+        fallbacks = 0
         for outcome in map(int, outcomes):
             try:
                 belief = rejection_update(outcome, belief, setting, config, rng)
             except UpdateFailure:
                 belief = analytic_posterior(outcome, belief, setting)
+                fallbacks += 1
         error = circular_distance(belief.mu, wrap_phase(truth)) if truth is not None else None
         trace.append(InferenceTraceRow(step=step, setting=setting,
-                                       outcome=outcome,
-                                       posterior=belief, error=error))
+                                       outcome=outcome, posterior=belief,
+                                       error=error, fallbacks=fallbacks))
     return trace
 
 

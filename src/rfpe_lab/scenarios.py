@@ -193,14 +193,15 @@ _BY_ANNOTATION = {"int": _as_int, "float": _as_num, "bool": _as_bool,
                   "str": _as_str, "Optional[float]": _optional(_as_num)}
 
 
-def _config(cls, **study):
-    """Field pair for an object keyed by the fields of `cls` but rng_seed.
+def _config(cls, *swept, **study):
+    """Field pair for an object keyed by the fields of `cls` but rng_seed
+    and the `swept` ones, which the study sets itself at each grid point.
 
     Keys take the field defaults, the JSON types of the annotations and,
     as the values build one `cls`, its bounds; `study` adds or replaces
     keys. The config keeps the user's values, not the built instance's.
     """
-    own = [f for f in fields(cls) if f.name != "rng_seed"]
+    own = [f for f in fields(cls) if f.name not in ("rng_seed", *swept)]
     spec = {f.name: (_BY_ANNOTATION[f.type], f.default) for f in own} | study
     return _sub(spec, lambda out: cls(**{f.name: out[f.name] for f in own}))
 
@@ -239,23 +240,15 @@ _PRIOR = _config(GaussianBelief, mu=(_as_num, math.pi),
                  sigma=(_as_num, math.pi))
 
 
-def _rfpe(n_steps):
+def _rfpe(n_steps, *swept):
     # each runner reads the last step, so a study needs one
-    return _config(RfpeConfig, n_steps=_count(n_steps))
+    return _config(RfpeConfig, *swept, n_steps=_count(n_steps))
 
 
 def _cross_checks(chk, cfg, raw):
     kind = cfg["kind"]
-    if kind == "phase_noise_sweep" and cfg["noise"]["sigma_phase"] != 0.0:
-        chk.fail("noise.sigma_phase",
-                 "this scenario sweeps sigma_phase; leave it at 0")
-    if kind in ("t2_sweep", "t2_convergence"):
-        if cfg["noise"]["t2"] is not None:
-            chk.fail("noise.t2", "this scenario sweeps t2; leave it null")
-        if cfg["rfpe"]["t2_cap"] is not None:
-            chk.fail("rfpe.t2_cap",
-                     "set by the sweep when cap_pgh is true; leave it null")
-        for i, t2 in enumerate(cfg["t2_grid"] if cfg["cap_pgh"] else ()):
+    if kind in ("t2_sweep", "t2_convergence") and cfg["cap_pgh"]:
+        for i, t2 in enumerate(cfg["t2_grid"]):
             if t2 < 1.0:
                 chk.fail(f"t2_grid[{i}]", "cap_pgh caps m at this T2, and a "
                          f"cap below one gate time is unusable, got {t2}")
@@ -291,11 +284,21 @@ def validate_config(obj: Any, source: str = "<config>",
     return cfg
 
 
+def _unique_keys(pairs) -> dict:
+    """`object_pairs_hook` raising KeyError(key) for a key named twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise KeyError(key)
+        out[key] = value
+    return out
+
+
 def read_config_file(path) -> tuple[str, object]:
     """Text and parsed JSON of a configuration file.
 
-    Unreadable files and invalid JSON raise ConfigError anchored at the
-    path (and, for JSON, the offending line).
+    Unreadable files, invalid JSON and an object that repeats a key
+    raise ConfigError anchored at the path (and, for JSON, a line).
     """
     path = Path(path)
     try:
@@ -303,7 +306,9 @@ def read_config_file(path) -> tuple[str, object]:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read configuration: {exc}")
     try:
-        return text, json.loads(text)
+        return text, json.loads(text, object_pairs_hook=_unique_keys)
+    except KeyError as exc:  # from _unique_keys
+        _Checker(str(path), text).fail(exc.args[0], "repeated key")
     except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigError(f"{path}:{getattr(exc, 'lineno', 1)}: invalid JSON: "
                           f"{getattr(exc, 'msg', exc)}")
@@ -869,7 +874,8 @@ _KINDS = {
                   sigma_grid=_key(_as_list, _DEFAULT_SIGMA_GRID, lo=0.0),
                   rfpe_strategy=(_as_strategy, "single_shot"),
                   ipea_strategy=(_as_strategy, "majority_vote"),
-                  noise=_NOISE, rfpe=_rfpe(100), ipea=_IPEA, prior=_PRIOR),
+                  noise=_config(NoiseConfig, "sigma_phase", "strategy"),
+                  rfpe=_rfpe(100), ipea=_IPEA, prior=_PRIOR),
         criteria=[4, 11], run=_run_phase_noise_sweep,
         plot=dict(x="sigma_phase", title="Robustness to phase noise",
                   x_label="sigma_phase (rad)", **_FINAL_ERROR_AXIS),
@@ -878,8 +884,8 @@ _KINDS = {
         spec=dict(truth=_TRUTH, algorithm=_ALGORITHM, ensemble=_count(50),
                   t2_grid=_key(_as_list, [float(2 ** i) for i in range(9)],
                                lo=0.0, lo_open=True),
-                  cap_pgh=(_as_bool, True),
-                  noise=_NOISE, rfpe=_rfpe(100), ipea=_IPEA, prior=_PRIOR),
+                  cap_pgh=(_as_bool, True), noise=_config(NoiseConfig, "t2"),
+                  rfpe=_rfpe(100, "t2_cap"), ipea=_IPEA, prior=_PRIOR),
         criteria=[6, 11], run=_run_t2_sweep,
         plot=dict(x="t2", title="Robustness to decoherence",
                   x_label="T2 (gate applications)", log_x=True,
@@ -889,8 +895,8 @@ _KINDS = {
         spec=dict(truth=_TRUTH, ensemble=_count(50),
                   t2_grid=_key(_as_list, [2.0, 8.0, 32.0, 128.0], lo=0.0,
                                lo_open=True),
-                  cap_pgh=(_as_bool, True),
-                  noise=_NOISE, rfpe=_rfpe(100), prior=_PRIOR),
+                  cap_pgh=(_as_bool, True), noise=_config(NoiseConfig, "t2"),
+                  rfpe=_rfpe(100, "t2_cap"), prior=_PRIOR),
         criteria=[6, 11], run=_run_t2_convergence,
         plot=dict(x="step", title="Convergence under decoherence",
                   x_label="step", **_ERROR_AXIS),
@@ -900,7 +906,8 @@ _KINDS = {
                   strategies=_key(_as_list, ["sampled:3", "majority_vote",
                                              "single_shot"],
                                   item=_as_strategy, what="strategy names"),
-                  noise=_NOISE, rfpe=_rfpe(10), prior=_PRIOR),
+                  noise=_config(NoiseConfig, "strategy"), rfpe=_rfpe(10),
+                  prior=_PRIOR),
         criteria=[7, 11], run=_run_strategy_comparison,
         plot=dict(x="step", title="Readout strategies", x_label="step",
                   **_ERROR_AXIS),

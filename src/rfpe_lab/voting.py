@@ -52,12 +52,15 @@ def exact_minority_tail(p: float, n: int) -> float:
     """P(Bin(n, p) <= floor(n/2)), summed in log space.
 
     The brute-force oracle the Chernoff bound is checked against; kept
-    free of library special functions beyond lgamma on purpose.
+    free of library special functions beyond lgamma on purpose. At p = 1
+    every shot succeeds, so the tail is exactly 0.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"p must lie in (0, 1], got {p}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if p == 1.0:
+        return 0.0
     log_p = math.log(p)
     log_q = math.log1p(-p)
     lg_n = math.lgamma(n + 1)

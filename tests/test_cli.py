@@ -55,6 +55,26 @@ def test_run_rejects_bad_config_with_anchored_message(tmp_path, capsys):
     assert f"{path}:4: ensemble:" in err
 
 
+def test_run_rejects_a_repeated_key(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{\n "schema": "rfpe-lab/1",\n "kind": "convergence",\n'
+                    ' "ensemble": 5,\n "ensemble": 7\n}\n')
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"{path}:4: ensemble: repeated key\n"
+    assert not out.exists()
+
+
+def test_run_rejects_a_field_the_kind_sweeps(tmp_path, capsys):
+    path = _tiny(tmp_path, kind="phase_noise_sweep",
+                 noise={"strategy": "single_shot"})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:8: noise.strategy: unknown key\n")
+    assert not out.exists()
+
+
 def test_run_rejects_missing_file_and_bad_json(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "cannot read configuration" in capsys.readouterr().err

@@ -42,6 +42,8 @@ def test_config_validation():
         with pytest.raises(FieldError, match=r"^t2_cap: a T2 cap below one "
                                              r"gate time is unusable"):
             RfpeConfig(t2_cap=cap)
+    with pytest.raises(FieldError, match=r"^t2_cap: must be finite, got inf$"):
+        RfpeConfig(t2_cap=math.inf)
     RfpeConfig(n_steps=0)  # allowed: empty run
 
 
@@ -210,6 +212,7 @@ def test_rfpe_run_trace_contents():
         assert row.step == i
         assert row.outcome in (0, 1)
         assert row.setting.m >= 1
+        assert row.fallbacks == 0
         assert row.error == pytest.approx(
             circular_distance(row.posterior.mu, truth), abs=1e-12)
 
@@ -275,6 +278,7 @@ def test_forced_update_failure_takes_the_closed_form(monkeypatch):
     assert attempts == [prior]
     row = trace[0]
     assert row.posterior == analytic_posterior(row.outcome, prior, row.setting)
+    assert row.fallbacks == 1
 
 
 # ------------------------------------------------------- closed-form update

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfpe_lab import rfpe as rfpe_mod
 from rfpe_lab import scenarios
 from rfpe_lab.ipea import IpeaConfig
 from rfpe_lab.noise import NoiseConfig
-from rfpe_lab.rfpe import GaussianBelief, RfpeConfig
+from rfpe_lab.rfpe import GaussianBelief, RfpeConfig, analytic_posterior
 from rfpe_lab.scenarios import (KCAL_PER_HARTREE, KINDS, OUT_DIR_ENV,
                                 ConfigError, load_config,
                                 load_molecular_table, run_scenario,
@@ -81,14 +82,35 @@ def test_unknown_and_invalid_keys():
         validate_config(dict(base, rfpe={"kappa_e": 1.0}))
 
 
+# the fields each kind sets itself at every grid point: no keys of its config
+_SWEPT = {("phase_noise_sweep", "noise"): ("sigma_phase", "strategy"),
+          ("strategy_comparison", "noise"): ("strategy",),
+          ("t2_sweep", "noise"): ("t2",), ("t2_sweep", "rfpe"): ("t2_cap",),
+          ("t2_convergence", "noise"): ("t2",),
+          ("t2_convergence", "rfpe"): ("t2_cap",)}
+
+
+@pytest.mark.parametrize("kind,key,field", [
+    (kind, key, name) for (kind, key), names in _SWEPT.items()
+    for name in names])
+def test_swept_fields_are_unknown_keys(kind, key, field):
+    value = {"strategy": "single_shot", "sigma_phase": 0.1}.get(field, 8.0)
+    obj = {"schema": "rfpe-lab/1", "kind": kind, key: {field: value}}
+    text = json.dumps(obj, indent=2)  # the field's own line is line 5
+    with pytest.raises(ConfigError,
+                       match=rf"^cfg\.json:5: {key}\.{field}: unknown key$"):
+        validate_config(obj, source="cfg.json", text=text)
+
+
 def test_cross_checks():
-    with pytest.raises(ConfigError, match="leave it at 0"):
+    # a swept field is no key, so no check has to hold it at its default
+    with pytest.raises(ConfigError, match="noise.sigma_phase: unknown key"):
         validate_config({"schema": "rfpe-lab/1", "kind": "phase_noise_sweep",
                          "noise": {"sigma_phase": 0.1}})
-    with pytest.raises(ConfigError, match="noise.t2"):
+    with pytest.raises(ConfigError, match="noise.t2: unknown key"):
         validate_config({"schema": "rfpe-lab/1", "kind": "t2_sweep",
                          "noise": {"t2": 8.0}})
-    with pytest.raises(ConfigError, match="rfpe.t2_cap"):
+    with pytest.raises(ConfigError, match="rfpe.t2_cap: unknown key"):
         validate_config({"schema": "rfpe-lab/1", "kind": "t2_convergence",
                          "rfpe": {"t2_cap": 8.0}})
     with pytest.raises(ConfigError, match="not both"):
@@ -242,6 +264,8 @@ def test_sub_object_defaults_are_the_class_defaults():
                      "prior": {"mu": math.pi, "sigma": math.pi}}.get(key, {})
             expected = asdict(_CONFIGURED[key](**given))
             expected.pop("rng_seed", None)
+            for name in _SWEPT.get((kind, key), ()):
+                expected.pop(name)
             got = {k: v for k, v in cfg[key].items()
                    if k not in _STUDY_KEYS.get(key, ())}
             assert got == expected, (kind, key)
@@ -490,15 +514,30 @@ def test_mid_run_failure_flushes_and_marks_incomplete(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_single_shot_t2_sweep_completes(tmp_path, seed):
+def test_single_shot_t2_sweep_completes(tmp_path, monkeypatch, seed):
     # under the cap m stops growing while sigma shrinks, so single shots
     # starve some updates, which then take the closed-form posterior
+    run, closed_forms, fallbacks = scenarios.rfpe_run, [], []
+
+    def counted(*args, **kwargs):
+        trace = run(*args, **kwargs)
+        fallbacks.extend(row.fallbacks for row in trace)
+        return trace
+
+    def closed_form(*args):
+        closed_forms.append(args)
+        return analytic_posterior(*args)
+
+    monkeypatch.setattr(scenarios, "rfpe_run", counted)
+    monkeypatch.setattr(rfpe_mod, "analytic_posterior", closed_form)
     cfg = {"schema": "rfpe-lab/1", "kind": "t2_sweep", "algorithm": "rfpe",
            "t2_grid": [1.0, 2.0], "noise": {"strategy": "single_shot"},
            "rng_seed": seed}
-    manifest = run_scenario_config(cfg, out_dir=tmp_path, workers=2)
+    manifest = run_scenario_config(cfg, out_dir=tmp_path, workers=1)
     assert manifest["complete"] is True
     assert manifest["error"] is None
+    # each trace row counts the closed-form updates of its step
+    assert sum(fallbacks) == len(closed_forms) == {0: 12, 1: 12, 2: 28}[seed]
 
 
 def test_strategy_comparison_outputs(tmp_path):
@@ -527,6 +566,13 @@ def test_chernoff_curve_summary(tmp_path):
     rows = (tmp_path / "ch_chernoff.csv").read_text().splitlines()
     assert rows[0] == "pe,effective_p,chernoff_bound,exact_tail,expected_bad_bits"
     assert len(rows) == 22
+    # a perfect signal never loses a vote: the tail at pe = 0 is exactly 0
+    manifest = run_scenario_config(dict(cfg, p0=1.0), out_dir=tmp_path,
+                                   plot=True)
+    assert manifest["complete"] is True
+    pe, effective_p, _, tail, _ = (
+        (tmp_path / "ch_chernoff.csv").read_text().splitlines()[1].split(","))
+    assert (pe, effective_p, tail) == ("0.0", "1.0", "0.0")
 
 
 def test_fidelity_curve_summary(tmp_path):

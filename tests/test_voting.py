@@ -30,11 +30,12 @@ def test_chernoff_validation():
 
 def test_exact_tail_matches_scipy():
     for p, n in [(0.55, 11), (2.0 / 3.0, 500), (0.9, 7), (0.51, 200),
-                 (0.999, 3)]:
+                 (0.999, 3), (1.0, 1), (1.0, 4), (1.0, 500)]:
         want = float(stats.binom.cdf(n // 2, n, p))
         assert exact_minority_tail(p, n) == pytest.approx(want, rel=1e-10)
-    with pytest.raises(ValueError):
-        exact_minority_tail(0.0, 5)
+    for p in (0.0, 1.0 + 1e-12):
+        with pytest.raises(ValueError):
+            exact_minority_tail(p, 5)
     with pytest.raises(ValueError):
         exact_minority_tail(0.4, 0)
 
