@@ -86,8 +86,24 @@ def _prep_state(theta_z: float, theta_y: float) -> np.ndarray:
                      cmath.exp(1j * h) * math.sin(0.5 * theta_y)])
 
 
+def _prep_amplitudes(theta_z: np.ndarray,
+                     theta_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_prep_state over arrays of angles: the two amplitudes."""
+    h = 0.5 * theta_z
+    return (np.exp(-1j * h) * np.cos(0.5 * theta_y),
+            np.exp(1j * h) * np.sin(0.5 * theta_y))
+
+
 def check_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> None:
-    dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+    """Raise unless the 2x2 matrix m satisfies m^dag m = I within tol.
+
+    The deviation is the largest entry of |m^dag m - I|: the two column
+    norms and the overlap of the columns, in closed form.
+    """
+    a, b, c, d = m.ravel().tolist()
+    dev = max(abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
+              abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
+              abs(a.conjugate() * b + c.conjugate() * d))
     if dev > tol:
         raise NonUnitaryError(f"matrix deviates from unitarity by {dev:.3e}")
 
@@ -122,6 +138,16 @@ def _matrix_from_euler(alpha: float, beta: float, gamma: float, delta: float) ->
     ps = cmath.exp(0.5j * (alpha + gamma))
     pd = cmath.exp(0.5j * (alpha - gamma))
     return cmath.exp(1j * delta) * np.array([[c / ps, -s / pd], [s * pd, c * ps]])
+
+
+def _euler_entries(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
+                   delta: float) -> tuple[np.ndarray, ...]:
+    """_matrix_from_euler over arrays of angles: entries 00, 01, 10, 11."""
+    c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    ps = np.exp(0.5j * (alpha + gamma))
+    pd = np.exp(0.5j * (alpha - gamma))
+    phase = cmath.exp(1j * delta)
+    return phase * (c / ps), phase * (-s / pd), phase * (s * pd), phase * (c * ps)
 
 
 @dataclass(frozen=True)
@@ -276,8 +302,11 @@ def fidelity_vs_noise(unitary: UnitarySpec, prep: StatePrepSpec,
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    psi = prep.state()
-    v = unitary.matrix()
+    psi0, psi1 = prep.state().tolist()
+    v = unitary.matrix().ravel().tolist()
+    nominal = np.broadcast_to(
+        [prep.theta_z, prep.theta_y, unitary.alpha, unitary.beta, unitary.gamma],
+        (samples, 5))
     rows = []
     for sigma in sigma_grid:
         if sigma < 0.0:
@@ -285,16 +314,15 @@ def fidelity_vs_noise(unitary: UnitarySpec, prep: StatePrepSpec,
         if sigma == 0.0:
             rows.append(FidelityPoint(0.0, 1.0, 0.0, 1.0, 0.0))
             continue
-        state_vals = np.empty(samples)
-        gate_vals = np.empty(samples)
-        for i in range(samples):
-            tz, ty = perturb_phases((prep.theta_z, prep.theta_y), sigma, rng)
-            state_vals[i] = abs(np.vdot(psi, _prep_state(tz, ty))) ** 2
-            al, be, ga = perturb_phases((unitary.alpha, unitary.beta, unitary.gamma),
-                                        sigma, rng)
-            v_noisy = _matrix_from_euler(al, be, ga, unitary.delta)
-            tr = 2.0 + complex(np.trace(v.conj().T @ v_noisy))
-            gate_vals[i] = (abs(tr) ** 2 + 4.0) / 20.0
+        # Row-major fill: per sample the two state angles, then the three
+        # gate angles, the order in which jittering one sample at a time
+        # would draw them.
+        tz, ty, al, be, ga = rng.normal(nominal, sigma).T
+        amp0, amp1 = _prep_amplitudes(tz, ty)
+        state_vals = np.abs(psi0.conjugate() * amp0 + psi1.conjugate() * amp1) ** 2
+        w = _euler_entries(al, be, ga, unitary.delta)
+        tr = 2.0 + sum(vij.conjugate() * wij for vij, wij in zip(v, w))
+        gate_vals = (np.abs(tr) ** 2 + 4.0) / 20.0
         rows.append(FidelityPoint(
             sigma=float(sigma),
             state_fidelity=float(state_vals.mean()),

@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -58,14 +59,14 @@ class ConfigError(ValueError):
 
 
 def _key_line(text: Optional[str], path: str) -> int:
-    """Best-effort line anchor: first occurrence of the leaf key."""
+    """Best-effort line anchor: first line where the leaf is a key."""
     if not text:
         return 1
     leaf = path.split(".")[-1].split("[")[0]
     if leaf:
-        token = f'"{leaf}"'
+        token = re.compile(rf'"{re.escape(leaf)}"\s*:')
         for lineno, line in enumerate(text.splitlines(), 1):
-            if token in line:
+            if token.search(line):
                 return lineno
     return 1
 

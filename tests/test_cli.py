@@ -55,6 +55,17 @@ def test_run_rejects_bad_config_with_anchored_message(tmp_path, capsys):
     assert f"{path}:4: ensemble:" in err
 
 
+def test_anchor_follows_the_key_not_a_string_value(tmp_path, capsys):
+    path = tmp_path / "anchor.json"
+    path.write_text('{\n "schema": "rfpe-lab/1",\n "kind": "convergence",\n'
+                    ' "label": "shots",\n "noise": {\n  "shots": 0\n }\n}\n')
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:6: noise.shots: must be >= 1, got 0\n")
+    assert not out.exists()
+
+
 def test_run_rejects_a_repeated_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{\n "schema": "rfpe-lab/1",\n "kind": "convergence",\n'

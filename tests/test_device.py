@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfpe_lab.device import (CircuitInstance, NonUnitaryError, StatePrepSpec,
-                             UnitarySpec, build_instance, check_unitary,
-                             compose_power, eigenstate_prep, euler_angles,
-                             fidelity_vs_noise, phase_gate_instance,
-                             probability_from_phases, simulate_probability)
+                             UnitarySpec, _matrix_from_euler, _prep_state,
+                             build_instance, check_unitary, compose_power,
+                             eigenstate_prep, euler_angles, fidelity_vs_noise,
+                             phase_gate_instance, probability_from_phases,
+                             simulate_probability)
+from rfpe_lab.noise import perturb_phases
 from rfpe_lab.phases import TWO_PI, ExperimentSetting, likelihood, wrap_phase
 
 
@@ -212,6 +214,67 @@ def test_fidelity_matches_analytic_state_average():
     pt = pts[0]
     assert pt.state_stderr == pytest.approx(6.5e-4, rel=0.5)
     assert abs(pt.state_fidelity - want) < 4.0 * pt.state_stderr
+
+
+def test_fidelity_matches_analytic_gate_average():
+    # Tr(V^dag V_noisy) = 2 cos(b/2) cos((a+g)/2) = 2C for the phase gate,
+    # with b ~ N(0, s^2) and a+g ~ N(0, 2 s^2), so
+    # E(1+C)^2 = 1 + 2 exp(-3 s^2/8) + (1 + exp(-s^2/2))(1 + exp(-s^2))/4
+    unitary, prep = phase_gate_instance(2.0)
+    grid = [0.2, 0.55, 1.0]
+    pts = fidelity_vs_noise(unitary, prep, grid, 20000,
+                            np.random.default_rng(52))
+    for sigma, pt in zip(grid, pts):
+        s2 = sigma * sigma
+        mean_sq = (1.0 + 2.0 * math.exp(-3.0 * s2 / 8.0)
+                   + (1.0 + math.exp(-0.5 * s2)) * (1.0 + math.exp(-s2)) / 4.0)
+        want = (4.0 * mean_sq + 4.0) / 20.0
+        assert abs(pt.gate_fidelity - want) < 4.0 * pt.gate_stderr
+
+
+def _reference_fidelity(unitary, prep, sigma, samples, rng):
+    """One sample at a time: jitter the state angles, then the gate's."""
+    psi = prep.state()
+    v = unitary.matrix()
+    state_vals, gate_vals = [], []
+    for _ in range(samples):
+        tz, ty = perturb_phases((prep.theta_z, prep.theta_y), sigma, rng)
+        state_vals.append(abs(np.vdot(psi, _prep_state(tz, ty))) ** 2)
+        al, be, ga = perturb_phases((unitary.alpha, unitary.beta, unitary.gamma),
+                                    sigma, rng)
+        v_noisy = _matrix_from_euler(al, be, ga, unitary.delta)
+        tr = 2.0 + complex(np.trace(v.conj().T @ v_noisy))
+        gate_vals.append((abs(tr) ** 2 + 4.0) / 20.0)
+    state_vals, gate_vals = np.array(state_vals), np.array(gate_vals)
+    root_n = math.sqrt(samples)
+    return (state_vals.mean(), state_vals.std(ddof=1) / root_n,
+            gate_vals.mean(), gate_vals.std(ddof=1) / root_n)
+
+
+@pytest.mark.parametrize("unitary, prep", [
+    phase_gate_instance(2.0),
+    (UnitarySpec(0.7, 1.1, -0.4, 0.3), StatePrepSpec(0.9, 1.3)),
+])
+def test_fidelity_matches_the_per_sample_reference(unitary, prep):
+    grid, samples = [0.1, 0.55], 1000
+    pts = fidelity_vs_noise(unitary, prep, grid, samples,
+                            np.random.default_rng(50))
+    rng = np.random.default_rng(50)
+    for pt, sigma in zip(pts, grid):
+        want = _reference_fidelity(unitary, prep, sigma, samples, rng)
+        got = (pt.state_fidelity, pt.state_stderr, pt.gate_fidelity,
+               pt.gate_stderr)
+        assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_fidelity_draws_five_normals_per_sample():
+    unitary, prep = phase_gate_instance(2.0)
+    grid, samples = [0.0, 0.1, 0.0, 0.3], 1000
+    rng = np.random.default_rng(51)
+    fidelity_vs_noise(unitary, prep, grid, samples, rng)
+    twin = np.random.default_rng(51)
+    twin.normal(size=5 * samples * sum(s > 0.0 for s in grid))
+    assert rng.random() == twin.random()
 
 
 def test_fidelity_declines_with_noise():
